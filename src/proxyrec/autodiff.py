@@ -5,7 +5,8 @@ references to its inputs and a closure that routes the output gradient back
 to them. backward() on a scalar output walks the recorded trace once in
 reverse topological order, accumulating into .grad on every tensor that
 requires it. Gradients add up across fan-out, so a subexpression used twice
-contributes twice.
+contributes twice. The walk consumes the graph: a recorded forward supports
+one backward().
 
 Conventions:
   * storage is always float64; inputs are coerced on construction
@@ -129,7 +130,7 @@ def _expand_like(grad, src_shape, axis, keepdims):
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -389,21 +390,6 @@ class Tensor:
         out._backward = backward
         return out
 
-    def row(self, i: int):
-        """Single row along axis 0 (shape drops the leading axis)."""
-        a = self
-        i = int(i)
-        out = Tensor._make(a.data[i], (a,), None, "row")
-
-        def backward():
-            if a.requires_grad:
-                buf = np.zeros_like(a.data)
-                buf[i] = out.grad
-                a._accum(buf)
-
-        out._backward = backward
-        return out
-
     # -- reductions ----------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False):
@@ -548,7 +534,13 @@ class Tensor:
     # -- autodiff driver -----------------------------------------------------
 
     def backward(self):
-        """Reverse pass from a scalar output; accumulates into .grad leaves."""
+        """Reverse pass from a scalar output; accumulates into .grad leaves.
+
+        Afterwards every recorded node forgets its inputs and closure. Each
+        closure refers to its own output tensor, so a kept graph would be a
+        reference cycle that only a full garbage collection frees; cut, it
+        goes away with the last reference to the root.
+        """
         if self.data.size != 1:
             raise GradientError(f"backward requires a scalar output, got shape {self.data.shape}")
         order: list[Tensor] = []
@@ -570,6 +562,10 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None:
                 node._backward()
+        for node in order:
+            if node._prev:
+                node._backward = None
+                node._prev = ()
 
 
 def concat(tensors, axis: int = 0) -> Tensor:

@@ -3,7 +3,7 @@
 Configuration is a flat key = value text file whose keys are exactly the
 training and filter fields plus the path keys, layered as
 
-    command line  >  environment (PROXYREC_SEED, PROXYREC_THREADS)  >  file  >  defaults
+    command line  >  environment (PROXYREC_SEED)  >  file  >  defaults
 
 with unknown keys rejected and every problem in a bad configuration reported
 in a single error rather than one at a time. Each command writes the fully
@@ -52,7 +52,6 @@ ABLATION_FILE = "ablation.json"
 ABLATION_GRID_FILE = "ablation.txt"
 
 ENV_SEED = "PROXYREC_SEED"
-ENV_THREADS = "PROXYREC_THREADS"
 
 # -- configuration layering ----------------------------------------------------
 
@@ -133,9 +132,8 @@ def resolve_config(
     layers: list[tuple[str, str, str]] = []
     if config_path is not None:
         layers.extend(read_config_file(config_path))
-    for env_name, key in ((ENV_SEED, "seed"), (ENV_THREADS, "threads")):
-        if env_name in environ:
-            layers.append((key, environ[env_name], env_name))
+    if ENV_SEED in environ:
+        layers.append(("seed", environ[ENV_SEED], ENV_SEED))
     layers.extend(overrides or [])
 
     problems: list[str] = []
@@ -196,7 +194,6 @@ def _override_pairs(args) -> list[tuple[str, str, str]]:
         ("task", "task"),
         ("known_user_ratio", "known_user_ratio"),
         ("seed", "seed"),
-        ("threads", "threads"),
     ):
         value = getattr(args, flag, None)
         if value is not None:
@@ -303,17 +300,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _eval_threads(args, environ) -> int:
-    if args.threads is not None:
-        return args.threads
-    if ENV_THREADS in environ:
-        try:
-            return int(environ[ENV_THREADS])
-        except ValueError:
-            raise ConfigError(f"{ENV_THREADS}: bad value {environ[ENV_THREADS]!r}")
-    return 1
-
-
 def cmd_evaluate(args) -> int:
     """Score a checkpoint against a prepared split and emit a report."""
     params, _, meta = load_checkpoint(args.checkpoint)
@@ -326,13 +312,10 @@ def cmd_evaluate(args) -> int:
     ckpt_cfg = meta["config"]
     task = args.task or ckpt_cfg["task"]
     ks = _parse_int_list(args.ks, "--ks")
-    threads = _eval_threads(args, os.environ)
     sessions = split.valid if args.split == "valid" else split.test
     known = set(meta["user_tags"])
     instances = expand_all(sessions, task, known)
-    report = evaluate(
-        params, instances, task, ks, meta["tau"], mode=ckpt_cfg["mode"], threads=threads
-    )
+    report = evaluate(params, instances, task, ks, meta["tau"], mode=ckpt_cfg["mode"])
 
     out_dir = args.out_dir or os.path.dirname(args.checkpoint) or "."
     os.makedirs(out_dir, exist_ok=True)
@@ -344,7 +327,6 @@ def cmd_evaluate(args) -> int:
             "task": task,
             "split": args.split,
             "ks": list(ks),
-            "threads": threads,
             "tau": meta["tau"],
             "mode": ckpt_cfg["mode"],
         },
@@ -415,7 +397,6 @@ def cmd_ablate(args) -> int:
             ks=(20,),
             tau=result.tau,
             mode=cfg.mode,
-            threads=cfg.threads,
         )
         rows.append(
             {
@@ -460,7 +441,6 @@ class _Parser(argparse.ArgumentParser):
 def _add_config_flags(sub, with_mode: bool = True) -> None:
     sub.add_argument("--config", help="key = value configuration file")
     sub.add_argument("--seed", type=int, help="override the training seed")
-    sub.add_argument("--threads", type=int, help="evaluation thread count")
     if with_mode:
         sub.add_argument("--mode", help="scoring mode override")
         sub.add_argument("--task", help="prediction task override")
@@ -527,7 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--task", choices=("repeat", "unseen"), help="default: from checkpoint")
     ev.add_argument("--ks", default="5,10,20", help="metric cutoffs")
     ev.add_argument("--split", choices=("test", "valid"), default="test")
-    ev.add_argument("--threads", type=int)
     ev.add_argument("--out-dir", help="default: next to the checkpoint")
     ev.set_defaults(func=cmd_evaluate)
 

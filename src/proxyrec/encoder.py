@@ -11,6 +11,9 @@ row-wise softmax of QK'/sqrt(d), and the attended rows get a residual add.
 The last row (the most recent item) is read out through a two-layer head
 with biases. There is no causal mask: the prefix is fully observed, every
 position may attend everywhere.
+
+Prefixes are encoded in batches as recorded autodiff ops, one attention
+block per distinct prefix length; training and evaluation share this path.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthError
+from .autodiff import Tensor
+from .selector import _buckets, _check_lengths, _restore_order
 
 
 @dataclass
@@ -33,44 +37,27 @@ class EncoderParams:
     pos: np.ndarray  # (max_len, d), reverse positional rows
 
 
-def _relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
+def attention(x: Tensor, leaves: dict[str, Tensor]) -> Tensor:
+    """Row-stochastic (..., n, n) attention over stacked input rows (..., n, d)."""
+    q = (x @ leaves["enc_wq"]).relu()
+    k = (x @ leaves["enc_wk"]).relu()
+    return ((q @ k.mT) / np.sqrt(x.data.shape[-1])).softmax(axis=-1)
 
 
-def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def encode_short_term(items, item_table: np.ndarray, enc: EncoderParams) -> np.ndarray:
-    """Encode a prefix into one d-vector read off the most recent position."""
-    idx = np.asarray(items, dtype=np.int64)
-    n = idx.shape[0]
-    if n == 0:
-        raise LengthError("cannot encode an empty prefix")
-    if n > enc.pos.shape[0]:
-        raise LengthError(
-            f"prefix length {n} exceeds positional table of {enc.pos.shape[0]} rows"
-        )
-    d = item_table.shape[1]
-    x = item_table[idx] + enc.pos[n - 1 :: -1]
-    q = _relu(x @ enc.wq)
-    k = _relu(x @ enc.wk)
-    att = _softmax_rows(q @ k.T / np.sqrt(d))
-    z = att @ x + x
-    last = z[-1]
-    return _relu(last @ enc.w1 + enc.b1) @ enc.w2 + enc.b2
-
-
-def attention_weights(items, item_table: np.ndarray, enc: EncoderParams) -> np.ndarray:
-    """The (n, n) attention matrix, exposed for inspection and tests."""
-    idx = np.asarray(items, dtype=np.int64)
-    n = idx.shape[0]
-    if n == 0 or n > enc.pos.shape[0]:
-        raise LengthError(f"bad prefix length {n} for positional table {enc.pos.shape[0]}")
-    d = item_table.shape[1]
-    x = item_table[idx] + enc.pos[n - 1 :: -1]
-    q = _relu(x @ enc.wq)
-    k = _relu(x @ enc.wk)
-    return _softmax_rows(q @ k.T / np.sqrt(d))
+def encode_prefixes(prefixes, leaves: dict[str, Tensor]) -> Tensor:
+    """Short-term interest vectors (B, d), one read off each prefix's most
+    recent position."""
+    pos = leaves["enc_pos"]
+    _check_lengths(prefixes, pos.data.shape[0], "prefix")
+    chunks, order = [], []
+    for length, idxs in _buckets(prefixes):
+        ids = np.asarray([prefixes[i] for i in idxs], dtype=np.int64)
+        x = leaves["items"].gather(ids) + pos.gather(np.arange(length - 1, -1, -1))
+        z = attention(x, leaves) @ x + x
+        pick_last = np.zeros(length)
+        pick_last[-1] = 1.0
+        z_last = Tensor(pick_last) @ z  # (Bn, d), exact row selection
+        h = ((z_last @ leaves["enc_w1"]) + leaves["enc_b1"]).relu()
+        chunks.append(h @ leaves["enc_w2"] + leaves["enc_b2"])
+        order.extend(idxs)
+    return _restore_order(chunks, order)

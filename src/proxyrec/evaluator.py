@@ -1,29 +1,35 @@
 """Ranking evaluation: deterministic rank-of-target, recall@k and MRR@k.
 
-Scores come from the inference path: the selection distribution is computed
-from the prefix only (the part of the session actually observed at
-prediction time), degenerate mixtures raise instead of being padded, and on
-the unseen task every prefix item is masked out of the catalog before
-ranking.
+Scores come from the model's forward in its inference regime: the selection
+distribution is computed from the prefix only (the part of the session
+actually observed at prediction time), degenerate mixtures raise instead of
+being padded, and on the unseen task every prefix item is masked out of the
+catalog before ranking.
 
-Ranks are deterministic under score ties: an item tied with the target
-counts against it only when its id is smaller. Multi-threaded evaluation
-partitions instances into contiguous chunks and writes ranks back by
-position, so the aggregate never depends on thread scheduling.
+Instances are scored in chunks of CHUNK_ELEMENTS // (N+1) rows: one batched
+forward gives the chunk's query points, and two matrix products score the
+whole catalog against them. Those products may round two equal distances
+differently, so every candidate within a narrow band of the target's score
+is scored again, together with the target, by the per-row distance that
+training uses; identical item rows then tie exactly. Ranks are
+deterministic under score ties: an item tied with the target counts
+against it only when its id is smaller. Each instance is ranked on its own
+row; where a chunk boundary falls can move a query point by rounding only.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import Tensor, no_grad
 from .data import PredictionInstance
-from .encoder import encode_short_term
 from .errors import ConfigError, MetricError
-from .scoring import SCORING_MODES, hyperplane_normal, score_catalog
-from .selector import select_for_inference
+from .scoring import SCORING_MODES, catalog_scores, distance, project, session_state
+
+CHUNK_ELEMENTS = 2**20  # catalog scores held per chunk (8 MiB of float64)
+TIE_BAND = 1e-9  # relative to the squared norms entering the expanded distance
 
 
 def rank_of_target(scores: np.ndarray, target: int) -> int:
@@ -41,24 +47,6 @@ def rank_of_target(scores: np.ndarray, target: int) -> int:
     better = int(np.count_nonzero(scores < st))
     tied_before = int(np.count_nonzero(scores[:target] == st))
     return 1 + better + tied_before
-
-
-def score_instance(
-    params,
-    instance: PredictionInstance,
-    tau: float,
-    task: str,
-    mode: str = "full",
-) -> np.ndarray:
-    """Catalog scores (N+1,) for one instance; unseen task masks the prefix."""
-    proxy = normal = short = None
-    if mode != "short_only":
-        pi, proxy = select_for_inference(instance, params, tau)
-        normal = hyperplane_normal(pi, params.bank.normals, strict=True)
-    if mode != "proxy_only":
-        short = encode_short_term(instance.prefix, params.items, params.encoder)
-    mask = instance.prefix if task == "unseen" else None
-    return score_catalog(proxy, short, normal, params.items, mask=mask, mode=mode)
 
 
 @dataclass
@@ -88,29 +76,32 @@ def compute_ranks(
     task: str,
     tau: float,
     mode: str = "full",
-    threads: int = 1,
 ) -> np.ndarray:
     """Rank of every instance's target, in instance order."""
     if mode not in SCORING_MODES:
         raise ConfigError(f"unknown scoring mode {mode!r}; expected one of {SCORING_MODES}")
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
+    items = params.items
+    leaves = {name: Tensor(arr) for name, arr in params.named().items()}
+    x_max = float((items * items).sum(axis=1).max())
+    per_chunk = max(1, CHUNK_ELEMENTS // items.shape[0])
     ranks = np.empty(len(instances), dtype=np.int64)
-
-    def fill(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            scores = score_instance(params, instances[i], tau, task, mode)
-            ranks[i] = rank_of_target(scores, instances[i].target)
-
-    n = len(instances)
-    if threads == 1 or n < 2 * threads:
-        fill(0, n)
-    else:
-        step = -(-n // threads)
-        bounds = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for fut in [pool.submit(fill, lo, hi) for lo, hi in bounds]:
-                fut.result()
+    with no_grad():
+        for lo in range(0, len(instances), per_chunk):
+            chunk = instances[lo : lo + per_chunk]
+            bias_rows = params.bias_rows(chunk)
+            _, v, q = session_state(chunk, bias_rows, leaves, tau, mode, strict=True)
+            qd, vd = q.data, None if v is None else v.data
+            masks = [i.prefix for i in chunk] if task == "unseen" else None
+            scores = catalog_scores(qd, vd, items, mode, masks)
+            bands = TIE_BAND * (1.0 + (qd * qd).sum(axis=1) + x_max)
+            for b, inst in enumerate(chunk):
+                row, t = scores[b], inst.target
+                if 1 <= t < row.shape[0] and np.isfinite(row[t]):
+                    near = np.flatnonzero(np.abs(row - row[t]) <= bands[b])
+                    v_b = None if vd is None else Tensor(vd[b : b + 1])
+                    cand = project(Tensor(items[near]), v_b, mode)
+                    row[near] = distance(Tensor(qd[b : b + 1]), cand, mode).data
+                ranks[lo + b] = rank_of_target(row, t)
     return ranks
 
 
@@ -134,10 +125,9 @@ def evaluate(
     ks: tuple[int, ...] = (5, 10, 20),
     tau: float = 0.01,
     mode: str = "full",
-    threads: int = 1,
 ) -> MetricsReport:
     """Recall@k and MRR@k over prediction instances at a fixed temperature."""
     if not instances:
         raise MetricError("metrics over zero instances are undefined")
-    ranks = compute_ranks(params, instances, task, tau, mode=mode, threads=threads)
+    ranks = compute_ranks(params, instances, task, tau, mode=mode)
     return metrics_from_ranks(ranks, tuple(ks))

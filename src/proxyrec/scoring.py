@@ -10,97 +10,105 @@ measuring squared Euclidean distance to the proxy-plus-short-term query:
 Smaller is better everywhere in this module. Alternative modes cover the
 ablations: each drops one ingredient (proxy only, short-term only, no
 projection) or swaps the metric for a negated dot product.
+
+session_state is the model's forward for a batch; training scores a few
+candidates per instance through project and distance, and evaluation scores
+the whole catalog through catalog_scores, which expands the same distance
+into two matrix products.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateProxyError, MetricError
+from .autodiff import Tensor
+from .encoder import encode_prefixes
+from .errors import ConfigError, MetricError
+from .selector import select
 
 SCORING_MODES = ("full", "proxy_only", "short_only", "no_projection", "dot_product")
-EPS_DEGENERATE = 1e-12
+PROJECTED_MODES = ("full", "proxy_only", "dot_product")
 
 
-def hyperplane_normal(
-    pi: np.ndarray, normals: np.ndarray, strict: bool = True
-) -> np.ndarray:
-    """Unit normal of the session's hyperplane: normalized mixture of rows."""
-    w = pi @ normals
-    norm = float(np.linalg.norm(w))
-    if strict:
-        if norm < EPS_DEGENERATE:
-            raise DegenerateProxyError(
-                f"hyperplane normal has norm {norm:.3e}; cannot normalize"
-            )
-        return w / norm
-    return w / (norm + EPS_DEGENERATE)
+def project(x: Tensor, v: Tensor, mode: str) -> Tensor:
+    """Candidates as the mode sees them: x - (v.x) v on the hyperplane of unit
+    normal v in the projected modes, x unchanged otherwise.
 
-
-def project_to_hyperplane(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Remove the component along unit normal v: x - (v.x) v.
-
-    Works on a single vector (d,) or a stack of rows (..., d).
+    Rows x (B, d) pair with normals v (B, d); a candidate stack (B, C, d)
+    reuses each instance's normal for all of its C rows.
     """
-    return x - np.expand_dims(x @ v, -1) * v if x.ndim > 1 else x - (v @ x) * v
+    if mode not in PROJECTED_MODES:
+        return x
+    if x.ndim > v.ndim:
+        v = v.reshape(v.data.shape[0], 1, v.data.shape[-1])
+    return x - x.inner(v, keepdims=True) * v
 
 
-def dissimilarity(
-    proxy: np.ndarray | None,
-    short: np.ndarray | None,
-    item_vec: np.ndarray,
-    normal: np.ndarray | None,
-    mode: str = "full",
-):
-    """Score one item (or a stack of items) against the session state.
-
-    Smaller means a better match in every mode; the dot_product mode negates
-    the raw inner product to keep that orientation.
-    """
+def query(p: Tensor | None, v: Tensor | None, s: Tensor | None, mode: str) -> Tensor:
+    """The session's query point: proxy plus projected short-term state, or
+    the single ingredient (or unprojected sum) an ablation keeps."""
     if mode not in SCORING_MODES:
         raise ConfigError(f"unknown scoring mode {mode!r}; expected one of {SCORING_MODES}")
-    axis = -1
-    if mode == "full":
-        q = proxy + project_to_hyperplane(short, normal)
-        target = project_to_hyperplane(item_vec, normal)
-    elif mode == "proxy_only":
-        q = proxy
-        target = project_to_hyperplane(item_vec, normal)
-    elif mode == "short_only":
-        q = short
-        target = item_vec
-    elif mode == "no_projection":
-        q = proxy + short
-        target = item_vec
-    else:  # dot_product
-        q = proxy + project_to_hyperplane(short, normal)
-        target = project_to_hyperplane(item_vec, normal)
-        return -(target @ q) if item_vec.ndim > 1 else -float(q @ target)
-    diff = q - target
-    out = (diff * diff).sum(axis=axis)
-    return out if item_vec.ndim > 1 else float(out)
+    if mode == "proxy_only":
+        return p
+    if mode == "short_only":
+        return s
+    if mode == "no_projection":
+        return p + s
+    return p + project(s, v, mode)
 
 
-def score_catalog(
-    proxy: np.ndarray | None,
-    short: np.ndarray | None,
-    normal: np.ndarray | None,
-    item_table: np.ndarray,
-    mask=None,
-    mode: str = "full",
-) -> np.ndarray:
-    """Dissimilarity of every catalog item; masked ids score +inf.
+def distance(q: Tensor, x: Tensor, mode: str) -> Tensor:
+    """Dissimilarity of queries to candidates already passed through project;
+    dot_product negates the inner product to keep smaller meaning closer."""
+    if mode == "dot_product":
+        return -q.inner(x)
+    return q.sq_dist(x)
 
-    item_table row 0 is the unused padding row, so scores[0] is always +inf
-    and real items live at 1..N.
+
+def session_state(
+    instances, bias_rows, leaves: dict[str, Tensor], tau: float, mode: str, strict: bool
+):
+    """(p, v, q) for a batch: proxies, hyperplane normals and query points.
+
+    p and v are None in short_only mode. strict is the inference regime
+    (selection from each prefix, degenerate mixtures raise); training passes
+    strict=False (selection from each parent session, EPS padding).
     """
-    scores = np.empty(item_table.shape[0], dtype=np.float64)
-    scores[0] = np.inf
-    scores[1:] = dissimilarity(proxy, short, item_table[1:], normal, mode)
-    if mask is not None:
-        idx = np.fromiter(mask, dtype=np.int64) if not isinstance(mask, np.ndarray) else mask
-        if idx.size:
-            if idx.min() < 0 or idx.max() >= scores.shape[0]:
-                raise MetricError(f"mask ids outside catalog: {idx.min()}..{idx.max()}")
-            scores[idx] = np.inf
+    p = v = s = None
+    if mode != "short_only":
+        _, p, v = select(instances, bias_rows, leaves, tau, strict)
+    if mode != "proxy_only":
+        s = encode_prefixes([i.prefix for i in instances], leaves)
+    return p, v, query(p, v, s, mode)
+
+
+def catalog_scores(
+    q: np.ndarray, v: np.ndarray | None, items: np.ndarray, mode: str, masks=None
+) -> np.ndarray:
+    """Distance (B, N+1) of every catalog row to every query row.
+
+    Expands ||q - x_perp||^2 = ||q||^2 + ||x||^2 - 2 q.x + (x.v)(2 q.v - x.v)
+    so the catalog enters only through the products q X' and v X'. Row 0 of
+    the item table is padding and scores +inf, as does every id in masks[b]
+    for query row b. The expansion rounds differently from distance(), by
+    far less than any gap it is trusted to order.
+    """
+    qx = q @ items.T
+    if mode == "dot_product":
+        vx = v @ items.T
+        scores = vx * (q * v).sum(axis=1, keepdims=True) - qx
+    else:
+        scores = (q * q).sum(axis=1, keepdims=True) + (items * items).sum(axis=1) - 2.0 * qx
+        if mode in PROJECTED_MODES:
+            vx = v @ items.T
+            scores += vx * (2.0 * (q * v).sum(axis=1, keepdims=True) - vx)
+    scores[:, 0] = np.inf
+    if masks is not None:
+        rows = np.repeat(np.arange(len(masks)), [len(m) for m in masks])
+        cols = np.fromiter((i for m in masks for i in m), dtype=np.int64, count=rows.size)
+        if cols.size:
+            if cols.min() < 0 or cols.max() >= scores.shape[1]:
+                raise MetricError(f"mask ids outside catalog: {cols.min()}..{cols.max()}")
+            scores[rows, cols] = np.inf
     return scores

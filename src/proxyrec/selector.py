@@ -10,11 +10,15 @@ The selection distribution is softmax(alpha / tau) with the temperature
 annealed across epochs, so training moves from a soft mixture of proxies to
 a near one-hot choice. The chosen mixture is rescaled so its norm equals the
 mixture of the bank row norms, which keeps a soft combination from shrinking
-toward the origin.
+toward the origin. The same distribution mixes the bank's normal rows into
+the unit normal of the session's hyperplane.
 
-During training the distribution is computed from the whole parent session,
-including the items after the prediction point; at inference only the prefix
-is available.
+Every function here works on a batch of instances as recorded autodiff ops,
+so training and evaluation run the same forward. The caller's strict flag
+picks the regime: during training (non-strict) the distribution is computed
+from the whole parent session, including the items after the prediction
+point, and degenerate mixtures are padded with EPS; at inference (strict)
+only the prefix is available and a degenerate mixture raises.
 """
 
 from __future__ import annotations
@@ -23,9 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import Tensor, concat
 from .errors import ConfigError, DegenerateProxyError, LengthError
 
-EPS_DEGENERATE = 1e-12
+EPS = 1e-12
 
 
 @dataclass
@@ -71,76 +76,92 @@ def temperature(epoch: int, sched: AnnealSchedule) -> float:
     return max(t, sched.end)
 
 
-def _leaky(x: np.ndarray, slope: float = 0.1) -> np.ndarray:
-    return np.where(x > 0.0, x, slope * x)
+def _buckets(seqs) -> list[tuple[int, list[int]]]:
+    """Positions of the sequences grouped by length, in first-seen order."""
+    by_len: dict[int, list[int]] = {}
+    for i, s in enumerate(seqs):
+        by_len.setdefault(len(s), []).append(i)
+    return list(by_len.items())
 
 
-def encode_logits(
-    items, item_table: np.ndarray, sel: SelectorParams
-) -> np.ndarray:
-    """Per-session selection logits: position-wise FFN scores, averaged."""
-    idx = np.asarray(items, dtype=np.int64)
-    n = idx.shape[0]
-    if n == 0:
-        raise LengthError("cannot encode an empty session")
-    if n > sel.pos.shape[0]:
-        raise LengthError(
-            f"session length {n} exceeds positional table of {sel.pos.shape[0]} rows"
-        )
-    x = item_table[idx] + sel.pos[:n]
-    return (_leaky(x @ sel.w1) @ sel.w2).mean(axis=0)
+def _restore_order(chunks: list[Tensor], order: list[int]) -> Tensor:
+    """Stack per-bucket rows back into the callers' instance order."""
+    whole = chunks[0] if len(chunks) == 1 else concat(chunks, axis=0)
+    if order == sorted(order):
+        return whole
+    inv = np.empty(len(order), dtype=np.int64)
+    inv[np.asarray(order)] = np.arange(len(order))
+    return whole.gather(inv)
 
 
-def selection_distribution(
-    logits: np.ndarray, tau: float, user_bias: np.ndarray | None = None
-) -> np.ndarray:
-    """softmax((logits + bias) / tau), stabilized by max subtraction."""
+def _check_lengths(seqs, max_rows: int, what: str) -> None:
+    for s in seqs:
+        if not 1 <= len(s) <= max_rows:
+            raise LengthError(
+                f"{what} length {len(s)} outside positional table of {max_rows} rows"
+            )
+
+
+def selection_logits(item_lists, leaves: dict[str, Tensor]) -> Tensor:
+    """Selection logits (B, K): position-wise FFN scores averaged per session."""
+    pos = leaves["sel_pos"]
+    _check_lengths(item_lists, pos.data.shape[0], "session")
+    chunks, order = [], []
+    for length, idxs in _buckets(item_lists):
+        ids = np.asarray([item_lists[i] for i in idxs], dtype=np.int64)
+        x = leaves["items"].gather(ids) + pos.gather(np.arange(length))
+        h = (x @ leaves["sel_w1"]).leaky_relu(0.1)
+        chunks.append((h @ leaves["sel_w2"]).mean(axis=1))
+        order.extend(idxs)
+    return _restore_order(chunks, order)
+
+
+def selection_distribution(logits: Tensor, tau: float, bias: Tensor | None = None) -> Tensor:
+    """softmax((logits + bias) / tau) along the last axis."""
     if tau <= 0.0:
         raise ConfigError(f"temperature must be positive, got {tau}")
-    z = logits if user_bias is None else logits + user_bias
-    z = z / tau
-    z = z - z.max()
-    e = np.exp(z)
-    return e / e.sum()
+    z = logits if bias is None else logits + bias
+    return (z / tau).softmax(axis=-1)
 
 
-def assemble_proxy(
-    pi: np.ndarray, bank: ProxyBank, strict: bool = True
-) -> tuple[np.ndarray, float]:
-    """Combine bank rows under pi and rescale to the mixed row-norm length.
-
-    Returns (proxy, gamma) with proxy = gamma * sum_j pi_j P_j and gamma
-    chosen so that ||proxy|| equals sum_j pi_j ||P_j||. A (near) zero
-    combination has no direction to rescale: strict mode raises, while the
-    training path pads the denominator with a tiny constant and carries on.
-    """
-    combined = pi @ bank.proxies
-    norm = float(np.linalg.norm(combined))
-    mixed_norms = float(pi @ np.linalg.norm(bank.proxies, axis=1))
+def _divide(num: Tensor, norm: Tensor, strict: bool, what: str) -> Tensor:
+    """num / norm; strict raises on a (near) zero norm, otherwise pads it."""
     if strict:
-        if norm < EPS_DEGENERATE:
-            raise DegenerateProxyError(
-                f"proxy combination has norm {norm:.3e}; cannot rescale"
-            )
-        gamma = mixed_norms / norm
-    else:
-        gamma = mixed_norms / (norm + EPS_DEGENERATE)
-    return gamma * combined, gamma
+        worst = float(norm.data.min())
+        if worst < EPS:
+            raise DegenerateProxyError(f"{what} has norm {worst:.3e}; cannot rescale")
+        return num / norm
+    return num / (norm + EPS)
 
 
-def select_for_training(instance, params, tau: float):
-    """(pi, proxy) for a training instance: logits from the whole parent session."""
-    return _select(instance.parent_items, instance, params, tau, strict=False)
+def assemble_proxy(pi: Tensor, proxies: Tensor, strict: bool) -> Tensor:
+    """Rows gamma * (pi @ proxies), with gamma chosen so that each row's norm
+    equals the pi-weighted sum of bank row norms."""
+    combined = pi @ proxies
+    mixed_norm = pi @ proxies.l2norm(axis=-1)
+    gamma = _divide(mixed_norm, combined.l2norm(axis=-1), strict, "proxy combination")
+    return gamma.reshape(pi.data.shape[0], 1) * combined
 
 
-def select_for_inference(instance, params, tau: float):
-    """(pi, proxy) for an evaluation instance: logits from the prefix only."""
-    return _select(instance.prefix, instance, params, tau, strict=True)
+def assemble_normal(pi: Tensor, normals: Tensor, strict: bool) -> Tensor:
+    """Unit hyperplane normals: the pi-mixture of normal rows, normalized."""
+    w = pi @ normals
+    return _divide(w, w.l2norm(axis=-1, keepdims=True), strict, "hyperplane normal")
 
 
-def _select(items, instance, params, tau, strict):
-    logits = encode_logits(items, params.items, params.selector)
-    bias = params.bias_for(instance.user_tag) if instance.known_user else None
+def select(instances, bias_rows, leaves: dict[str, Tensor], tau: float, strict: bool):
+    """Selection distributions pi (B, K), proxies p (B, d) and unit
+    hyperplane normals v (B, d) for a batch.
+
+    bias_rows gives each instance's row in the user-bias table (0 is the
+    anonymous row). Strict selection reads each prefix, non-strict selection
+    each whole parent session.
+    """
+    sessions = [i.prefix if strict else i.parent_items for i in instances]
+    logits = selection_logits(sessions, leaves)
+    bias = None
+    if leaves["user_bias"].data.shape[0] > 1:
+        bias = leaves["user_bias"].gather(np.asarray(bias_rows, dtype=np.int64))
     pi = selection_distribution(logits, tau, bias)
-    proxy, _ = assemble_proxy(pi, params.bank, strict=strict)
-    return pi, proxy
+    p = assemble_proxy(pi, leaves["proxies"], strict)
+    return pi, p, assemble_normal(pi, leaves["normals"], strict)

@@ -6,15 +6,12 @@ The loss over a batch is the sum the model minimizes globally:
         + lambda_dist   * sum_instances d(s, pos)
         + lambda_orthog * sum_instances |v(s) . p(s)| / ||p(s)||
 
-built as one recorded autodiff graph per batch. Instances are bucketed by
-length inside the batch so the selector and the attention encoder run as
-batched tensor ops; the bucketing is an implementation detail with no effect
-on the math (the graph computes exactly the per-instance formulas).
-
-Training-only guards: proxy assembly and hyperplane normalization pad their
-denominators with 1e-12 instead of raising on degenerate mixtures, and the
-anonymous row 0 of the user-bias table has its gradient zeroed so it stays
-pinned at zero.
+built as one recorded autodiff graph per batch through the same forward
+evaluation uses (scoring.session_state), in its training regime: selection
+reads the whole parent session, and proxy assembly and hyperplane
+normalization pad their denominators with 1e-12 instead of raising on
+degenerate mixtures. The anonymous row 0 of the user-bias table has its
+gradient zeroed so it stays pinned at zero.
 
 After every Adam step, item and proxy rows are clipped back into the unit
 ball and normal rows are rescaled to exactly unit norm.
@@ -30,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, concat
+from .autodiff import Tensor
 from .data import (
     PredictionInstance,
     SessionSplit,
@@ -39,17 +36,9 @@ from .data import (
     sample_negatives,
 )
 from .encoder import EncoderParams
-from .errors import (
-    CheckpointError,
-    ConfigError,
-    DataError,
-    LengthError,
-    NumericError,
-)
-from .scoring import SCORING_MODES
-from .selector import AnnealSchedule, ProxyBank, SelectorParams, temperature
-
-EPS = 1e-12
+from .errors import CheckpointError, ConfigError, DataError, NumericError
+from .scoring import SCORING_MODES, distance, project, session_state
+from .selector import EPS, AnnealSchedule, ProxyBank, SelectorParams, temperature
 
 # fixed seed-stream tags so resumed runs redraw the exact same randomness
 _STREAM_INIT = 101
@@ -78,7 +67,6 @@ class TrainConfig:
     seed: int = 0
     known_user_ratio: float = 0.0
     min_sessions_per_user: int = 10
-    threads: int = 1
 
     def __post_init__(self):
         if self.mode not in SCORING_MODES:
@@ -124,9 +112,9 @@ class ModelParams:
     def bias_row(self, tag: str | None) -> int:
         return self._rows.get(tag, 0)
 
-    def bias_for(self, tag: str | None) -> np.ndarray | None:
-        row = self.bias_row(tag)
-        return self.user_bias[row] if row else None
+    def bias_rows(self, instances) -> list[int]:
+        """Each instance's user-bias row; 0 unless its user is flagged known."""
+        return [self.bias_row(i.user_tag) if i.known_user else 0 for i in instances]
 
     def named(self) -> dict[str, np.ndarray]:
         return {
@@ -277,80 +265,6 @@ def adam_step(
 # -- batched objective -----------------------------------------------------------
 
 
-def hinge_term(dist_pos: float, dist_neg: float, margin: float) -> float:
-    """max(margin + dist_pos - dist_neg, 0) for a single candidate pair."""
-    return max(margin + dist_pos - dist_neg, 0.0)
-
-
-def _buckets(seqs: list[tuple[int, ...]]) -> list[tuple[int, list[int]]]:
-    by_len: dict[int, list[int]] = {}
-    for i, s in enumerate(seqs):
-        by_len.setdefault(len(s), []).append(i)
-    return list(by_len.items())
-
-
-def _restore_order(chunks: list[Tensor], order: list[int]) -> Tensor:
-    whole = chunks[0] if len(chunks) == 1 else concat(chunks, axis=0)
-    if order == sorted(order):
-        return whole
-    inv = np.empty(len(order), dtype=np.int64)
-    inv[np.asarray(order)] = np.arange(len(order))
-    return whole.gather(inv)
-
-
-def _pi_batched(item_lists, bias_rows, leaves, tau) -> Tensor:
-    """Selection distributions (B, K), one softmax row per instance."""
-    pos = leaves["sel_pos"]
-    max_rows = pos.data.shape[0]
-    for s in item_lists:
-        if not 1 <= len(s) <= max_rows:
-            raise LengthError(
-                f"session length {len(s)} outside positional table of {max_rows} rows"
-            )
-    chunks, order = [], []
-    for length, idxs in _buckets(item_lists):
-        ids = np.asarray([item_lists[i] for i in idxs], dtype=np.int64)
-        x = leaves["items"].gather(ids) + pos.gather(np.arange(length))
-        h = (x @ leaves["sel_w1"]).leaky_relu(0.1)
-        chunks.append((h @ leaves["sel_w2"]).mean(axis=1))
-        order.extend(idxs)
-    alpha = _restore_order(chunks, order)
-    if leaves["user_bias"].data.shape[0] > 1:
-        alpha = alpha + leaves["user_bias"].gather(np.asarray(bias_rows, dtype=np.int64))
-    return (alpha / tau).softmax(axis=-1)
-
-
-def _short_batched(prefixes, leaves) -> Tensor:
-    """Short-term interest vectors (B, d) via per-length attention blocks."""
-    pos = leaves["enc_pos"]
-    max_rows = pos.data.shape[0]
-    d = leaves["items"].data.shape[1]
-    for s in prefixes:
-        if not 1 <= len(s) <= max_rows:
-            raise LengthError(
-                f"prefix length {len(s)} outside positional table of {max_rows} rows"
-            )
-    chunks, order = [], []
-    for length, idxs in _buckets(prefixes):
-        ids = np.asarray([prefixes[i] for i in idxs], dtype=np.int64)
-        x = leaves["items"].gather(ids) + pos.gather(np.arange(length - 1, -1, -1))
-        q = (x @ leaves["enc_wq"]).relu()
-        k = (x @ leaves["enc_wk"]).relu()
-        att = ((q @ k.mT) / np.sqrt(d)).softmax(axis=-1)
-        z = att @ x + x
-        pick_last = np.zeros(length)
-        pick_last[-1] = 1.0
-        z_last = Tensor(pick_last) @ z  # (Bn, d), exact row selection
-        s_vec = ((z_last @ leaves["enc_w1"]) + leaves["enc_b1"]).relu() @ leaves["enc_w2"] + leaves["enc_b2"]
-        chunks.append(s_vec)
-        order.extend(idxs)
-    return _restore_order(chunks, order)
-
-
-def _project_batch(x: Tensor, v: Tensor) -> Tensor:
-    return x - x.inner(v, keepdims=True) * v
-
-
 def objective(
     instances: list[PredictionInstance],
     leaves: dict[str, Tensor],
@@ -375,48 +289,13 @@ def objective(
     if bias_rows is None:
         bias_rows = [0] * B
     mode = cfg.mode
-    use_proxy = mode != "short_only"
-    use_short = mode != "proxy_only"
-
-    p = v = s = None
-    if use_proxy:
-        pi = _pi_batched([i.parent_items for i in instances], bias_rows, leaves, tau)
-        proxies, normals = leaves["proxies"], leaves["normals"]
-        combined = pi @ proxies  # (B, d)
-        mixed_norm = pi @ proxies.l2norm(axis=-1)  # (B,)
-        gamma = mixed_norm / (combined.l2norm(axis=-1) + EPS)
-        p = gamma.reshape(B, 1) * combined
-        w = pi @ normals
-        v = w / (w.l2norm(axis=-1, keepdims=True) + EPS)  # (B, d)
-    if use_short:
-        s = _short_batched([i.prefix for i in instances], leaves)
-
-    pos_ids = np.asarray([i.target for i in instances], dtype=np.int64)
-    pos_vec = leaves["items"].gather(pos_ids)  # (B, d)
-    neg_vec = leaves["items"].gather(neg)  # (B, C, d)
-
+    p, v, q = session_state(instances, bias_rows, leaves, tau, mode, strict=False)
     d_dim = leaves["items"].data.shape[1]
-    if mode in ("full", "dot_product"):
-        q = p + _project_batch(s, v)
-        v3 = v.reshape(B, 1, d_dim)
-        pos_t = _project_batch(pos_vec, v)
-        neg_t = _project_batch(neg_vec, v3)
-    elif mode == "proxy_only":
-        q = p
-        v3 = v.reshape(B, 1, d_dim)
-        pos_t = _project_batch(pos_vec, v)
-        neg_t = _project_batch(neg_vec, v3)
-    elif mode == "short_only":
-        q, pos_t, neg_t = s, pos_vec, neg_vec
-    else:  # no_projection
-        q, pos_t, neg_t = p + s, pos_vec, neg_vec
-
-    if mode == "dot_product":
-        d_pos = -q.inner(pos_t)  # (B,)
-        d_neg = -q.reshape(B, 1, d_dim).inner(neg_t)  # (B, C)
-    else:
-        d_pos = q.sq_dist(pos_t)
-        d_neg = q.reshape(B, 1, d_dim).sq_dist(neg_t)
+    pos_ids = np.asarray([i.target for i in instances], dtype=np.int64)
+    pos_t = project(leaves["items"].gather(pos_ids), v, mode)  # (B, d)
+    neg_t = project(leaves["items"].gather(neg), v, mode)  # (B, C, d)
+    d_pos = distance(q, pos_t, mode)  # (B,)
+    d_neg = distance(q.reshape(B, 1, d_dim), neg_t, mode)  # (B, C)
 
     hinge = (cfg.margin + d_pos.reshape(B, 1) - d_neg).relu().sum()
     J = hinge
@@ -427,7 +306,7 @@ def objective(
     }
     if cfg.lambda_dist != 0.0:
         J = J + cfg.lambda_dist * d_pos.sum()
-    if use_proxy:
+    if p is not None:
         orthog = (v.inner(p).abs() / (p.l2norm(axis=-1) + EPS)).sum()
         parts["reg_orthog"] = float(orthog.data)
         if cfg.lambda_orthog != 0.0:
@@ -467,10 +346,9 @@ def train_epoch(
         negs = np.stack(
             [sample_negatives(inst.target, n_items, cfg.negatives, rng) for inst in batch]
         )
-        bias_rows = [params.bias_row(i.user_tag) if i.known_user else 0 for i in batch]
         for t in leaves.values():
             t.zero_grad()
-        J, parts = objective(batch, leaves, tau, cfg, negs, bias_rows)
+        J, parts = objective(batch, leaves, tau, cfg, negs, params.bias_rows(batch))
         if not np.isfinite(J.data):
             raise NumericError(f"non-finite loss in epoch {epoch}, batch {n_batches}")
         J.backward()
@@ -534,6 +412,8 @@ def fit(
     """
     from .evaluator import evaluate  # local import keeps module layering one-way
 
+    if start_epoch >= cfg.epochs:
+        raise ConfigError(f"start_epoch {start_epoch} leaves no epoch of {cfg.epochs} to run")
     known = set(known_users or [])
     train_inst = expand_all(split.train, cfg.task, known)
     valid_inst = expand_all(split.valid, cfg.task, known)
@@ -556,9 +436,7 @@ def fit(
         tau = temperature(epoch, sched)
         t0 = time.monotonic()
         stats = train_epoch(train_inst, params, leaves, adam, cfg, epoch, tau)
-        report = evaluate(
-            params, valid_inst, cfg.task, (20,), tau, mode=cfg.mode, threads=cfg.threads
-        )
+        report = evaluate(params, valid_inst, cfg.task, (20,), tau, mode=cfg.mode)
         stats["val_recall20"] = report.recall[20]
         stats["seconds"] = round(time.monotonic() - t0, 3)
         history.append(stats)

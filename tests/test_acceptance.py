@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from proxyrec.autodiff import finite_difference_check
+from proxyrec.autodiff import Tensor, finite_difference_check
 from proxyrec.cli import main
 from proxyrec.data import (
     PredictionInstance,
@@ -23,10 +23,9 @@ from proxyrec.data import (
     split_stats,
 )
 from proxyrec.evaluator import evaluate, metrics_from_ranks, rank_of_target
-from proxyrec.scoring import dissimilarity, project_to_hyperplane
+from proxyrec.scoring import catalog_scores, distance, project, query, session_state
 from proxyrec.selector import (
     AnnealSchedule,
-    ProxyBank,
     assemble_proxy,
     selection_distribution,
     temperature,
@@ -116,7 +115,7 @@ def test_c02_proxy_rescale_matches_weighted_row_norms():
         proxies = rng.normal(size=(k, d)) * rng.uniform(0.1, 2.0)
         normals = rng.normal(size=(k, d))
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-        proxy, _ = assemble_proxy(pi, ProxyBank(proxies=proxies, normals=normals))
+        proxy = assemble_proxy(Tensor(pi[None]), Tensor(proxies), strict=True).data[0]
         want = float(pi @ np.linalg.norm(proxies, axis=1))
         worst = max(worst, abs(float(np.linalg.norm(proxy)) - want))
     verdict(2, worst < 1e-9, f"10^4 draws, max |norm gap| {worst:.2e}")
@@ -128,23 +127,27 @@ def test_c02_proxy_rescale_matches_weighted_row_norms():
 def test_c03_projection_is_orthogonal_idempotent_and_score_invariant():
     rng = np.random.default_rng(303)
     worst_dot, worst_idem, worst_inv = 0.0, 0.0, 0.0
+
+    def dissimilarity(proxy, short, item, v):
+        q = query(Tensor(proxy[None]), v, Tensor(short[None]), "full")
+        return float(distance(q, project(Tensor(item[None]), v, "full"), "full").data[0])
+
     for _ in range(10_000):
         d = int(rng.integers(2, 17))
         v = rng.normal(size=d)
         v /= np.linalg.norm(v)
         x = rng.normal(size=d) * rng.uniform(0.1, 3.0)
-        proj = project_to_hyperplane(x, v)
+        vt = Tensor(v[None])
+        proj = project(Tensor(x[None]), vt, "full").data[0]
         worst_dot = max(worst_dot, abs(float(v @ proj)))
         worst_idem = max(
-            worst_idem, float(np.abs(project_to_hyperplane(proj, v) - proj).max())
+            worst_idem, float(np.abs(project(Tensor(proj[None]), vt, "full").data[0] - proj).max())
         )
         proxy = rng.normal(size=d)
         short = rng.normal(size=d)
         item = rng.normal(size=d)
-        base = dissimilarity(proxy, short, item, v, mode="full")
-        shifted = dissimilarity(
-            proxy, short, item + rng.uniform(-3.0, 3.0) * v, v, mode="full"
-        )
+        base = dissimilarity(proxy, short, item, vt)
+        shifted = dissimilarity(proxy, short, item + rng.uniform(-3.0, 3.0) * v, vt)
         worst_inv = max(worst_inv, abs(base - shifted))
     verdict(
         3,
@@ -188,14 +191,14 @@ def test_c05_cold_selection_concentrates_for_every_bank_size():
         logits[0] = 0.0
         if k > 1:
             logits[1] = -0.1
-        pi = selection_distribution(logits, 0.01)
+        pi = selection_distribution(Tensor(logits[None]), 0.01).data[0]
         worst_pi = min(worst_pi, float(pi[0]))
 
         # everyone parked exactly at the gap: mass matches the closed form
         tied = np.full(k, -0.1)
         tied[0] = 0.0
         bound = 1.0 / (1.0 + (k - 1) * math.exp(-10.0))
-        got = float(selection_distribution(tied, 0.01)[0])
+        got = float(selection_distribution(Tensor(tied[None]), 0.01).data[0, 0])
         worst_gap = max(worst_gap, abs(got - bound) / bound)
     verdict(
         5,
@@ -263,13 +266,13 @@ def test_c07_unseen_task_bars_prefix_items_everywhere():
     dropped = sum(max(len(s.items) - 1, 0) for s in sessions) - len(instances)
     assert dropped > 0  # repeat targets really were filtered out
 
-    from proxyrec.evaluator import score_instance
-
     cfg = TrainConfig(embed_dim=8, proxy_count=4, max_len=50, seed=0)
     params = init_model(60, cfg)
+    leaves = {name: Tensor(arr) for name, arr in params.named().items()}
+    _, v, q = session_state(instances, params.bias_rows(instances), leaves, 1.0, "full", True)
+    masks = [inst.prefix for inst in instances]
     offenders = 0
-    for inst in instances:
-        scores = score_instance(params, inst, 1.0, "unseen", "full")
+    for inst, scores in zip(instances, catalog_scores(q.data, v.data, params.items, "full", masks)):
         top20 = np.lexsort((np.arange(scores.shape[0]), scores))[:20]
         offenders += bool(set(int(i) for i in top20) & set(inst.prefix))
     verdict(

@@ -5,6 +5,9 @@ properties (fan-out accumulation, linearity, softmax shift invariance)
 are asserted directly.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -145,13 +148,6 @@ class TestLinalg:
         out.sum().backward()
         assert table.grad[1].sum() == pytest.approx(2 * 2)
 
-    def test_row_grad(self):
-        t = Tensor(RNG.normal(size=(4, 3)), requires_grad=True)
-        t.row(2).sum().backward()
-        want = np.zeros((4, 3))
-        want[2] = 1.0
-        np.testing.assert_allclose(t.grad, want)
-
     def test_concat_grad_splits(self):
         a = Tensor(RNG.normal(size=(2, 3)), requires_grad=True)
         b = Tensor(RNG.normal(size=(4, 3)), requires_grad=True)
@@ -272,6 +268,22 @@ class TestGraphStructure:
         g = lambda t: t.relu().sum()
         combo = g_of(lambda t: a * f(t) + b * g(t))
         np.testing.assert_allclose(combo, a * g_of(f) + b * g_of(g), atol=1e-10)
+
+    def test_backward_frees_the_graph_without_a_collector(self):
+        x = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            h = (x @ Tensor(RNG.normal(size=(4, 2)))).relu()
+            root = (h * h).sum()
+            probe = weakref.ref(h)
+            root.backward()
+            del root, h
+            assert probe() is None
+        finally:
+            if enabled:
+                gc.enable()
+        assert x.grad is not None and x.grad.shape == (3, 4)
 
     def test_backward_requires_scalar(self):
         t = Tensor(np.ones((2, 2)), requires_grad=True)

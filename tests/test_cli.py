@@ -56,11 +56,11 @@ def test_defaults_match_dataclasses():
 
 def test_file_env_and_overrides_layer_in_order(tmp_path):
     path = tmp_path / "c.cfg"
-    path.write_text("seed = 7\nthreads = 2\n# comment\n\nmargin = 0.25\n", encoding="utf-8")
+    path.write_text("seed = 7\nnegatives = 2\n# comment\n\nmargin = 0.25\n", encoding="utf-8")
     assert len(read_config_file(str(path))) == 3
 
     resolved = resolve_config(str(path), environ={"PROXYREC_SEED": "99"})
-    assert (resolved["seed"], resolved["threads"], resolved["margin"]) == (99, 2, 0.25)
+    assert (resolved["seed"], resolved["negatives"], resolved["margin"]) == (99, 2, 0.25)
 
     resolved = resolve_config(
         str(path),
@@ -224,6 +224,14 @@ def test_train_rejects_bad_config_with_exit_1(prepared, capsys):
     err = capsys.readouterr().err
     assert "2 configuration problem" in err
 
+    # the evaluation thread pool and its key are gone
+    gone = tmp_path / "threads.cfg"
+    gone.write_text("threads = 2\n", encoding="utf-8")
+    rc = main(["train", "--data", str(data), "--out-dir", str(tmp_path / "y"),
+               "--config", str(gone)])
+    assert rc == 1
+    assert "unknown key 'threads'" in capsys.readouterr().err
+
 
 def test_train_reruns_bit_identical_and_resolved_config_replays(prepared, capsys):
     tmp_path, data, cfg = prepared
@@ -298,18 +306,6 @@ def test_evaluate_item_count_mismatch_is_exit_2(trained, capsys):
     rc = main(["evaluate", "--checkpoint", str(ckpt), "--data", str(other)])
     assert rc == 2
     assert "items" in capsys.readouterr().err
-
-
-def test_evaluate_thread_env_override(trained, capsys, monkeypatch):
-    tmp_path, data, ckpt = trained
-    monkeypatch.setenv("PROXYREC_THREADS", "2")
-    out = tmp_path / "threaded"
-    rc = main(["evaluate", "--checkpoint", str(ckpt), "--data", str(data),
-               "--ks", "20", "--out-dir", str(out)])
-    assert rc == 0
-    capsys.readouterr()
-    payload = json.loads((out / "report_test_unseen.json").read_text())
-    assert payload["config"]["threads"] == 2
 
 
 # -- ablate ----------------------------------------------------------------------

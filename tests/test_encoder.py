@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from proxyrec.encoder import EncoderParams, attention_weights, encode_short_term
+from proxyrec.autodiff import Tensor
+from proxyrec.encoder import EncoderParams, attention, encode_prefixes
 from proxyrec.errors import LengthError
 
 
@@ -14,6 +15,24 @@ def random_encoder(d: int, max_len: int, seed: int = 0) -> EncoderParams:
         wq=u(d, d), wk=u(d, d), w1=u(d, d), w2=u(d, d),
         b1=u(d), b2=u(d), pos=u(max_len, d),
     )
+
+
+def leaves_of(table, enc):
+    out = {"items": Tensor(table)}
+    for name in ("wq", "wk", "w1", "w2", "b1", "b2", "pos"):
+        out[f"enc_{name}"] = Tensor(getattr(enc, name))
+    return out
+
+
+def encode_short_term(items, table, enc):
+    """One prefix through the batched encoder."""
+    return encode_prefixes([tuple(items)], leaves_of(table, enc)).data[0]
+
+
+def attention_weights(items, table, enc):
+    """The (n, n) attention of one prefix's input rows, most recent at pos 0."""
+    x = table[np.asarray(items)] + enc.pos[len(items) - 1 :: -1]
+    return attention(Tensor(x[None]), leaves_of(table, enc)).data[0]
 
 
 def test_single_item_attention_is_exactly_one():

@@ -3,17 +3,29 @@
 import numpy as np
 import pytest
 
-from proxyrec.data import PredictionInstance
-from proxyrec.errors import ConfigError, MetricError
+from proxyrec import evaluator
+from proxyrec.autodiff import Tensor
+from proxyrec.data import PredictionInstance, chronological_split, expand_all
+from proxyrec.errors import ConfigError, DegenerateProxyError, MetricError
 from proxyrec.evaluator import (
     MetricsReport,
     compute_ranks,
     evaluate,
     metrics_from_ranks,
     rank_of_target,
-    score_instance,
 )
-from proxyrec.trainer import TrainConfig, init_model
+from proxyrec.scoring import SCORING_MODES, catalog_scores, session_state
+from proxyrec.synth import planted_corpus
+from proxyrec.trainer import TrainConfig, init_model, make_leaves, objective
+from reference import reference_ranks
+
+
+def score_instance(params, instance, tau, task, mode="full"):
+    """One instance's catalog row through the batched inference forward."""
+    leaves = {name: Tensor(arr) for name, arr in params.named().items()}
+    _, v, q = session_state([instance], params.bias_rows([instance]), leaves, tau, mode, True)
+    masks = [instance.prefix] if task == "unseen" else None
+    return catalog_scores(q.data, None if v is None else v.data, params.items, mode, masks)[0]
 
 
 def slow_rank(scores, target):
@@ -133,12 +145,13 @@ class TestEvaluate:
         assert not np.allclose(per_mode["full"], per_mode["short_only"])
         assert not np.allclose(per_mode["full"], per_mode["no_projection"])
 
-    def test_threading_is_deterministic(self):
+    def test_chunking_is_deterministic(self, monkeypatch):
         params, instances = self._setup()
         usable = [i for i in instances if i.target not in i.prefix]
-        r1 = compute_ranks(params, usable, "unseen", 1.0, threads=1)
-        r3 = compute_ranks(params, usable, "unseen", 1.0, threads=3)
-        np.testing.assert_array_equal(r1, r3)
+        whole = compute_ranks(params, usable, "unseen", 1.0)
+        for rows in (1, 3, 7):  # 16 catalog rows: CHUNK_ELEMENTS // 16 == rows
+            monkeypatch.setattr(evaluator, "CHUNK_ELEMENTS", 16 * rows)
+            np.testing.assert_array_equal(compute_ranks(params, usable, "unseen", 1.0), whole)
 
     def test_evaluate_report(self):
         params, instances = self._setup()
@@ -154,9 +167,57 @@ class TestEvaluate:
         with pytest.raises(MetricError):
             evaluate(params, [], "unseen")
 
-    def test_bad_mode_and_threads_rejected(self):
+    def test_bad_mode_rejected(self):
         params, instances = self._setup()
         with pytest.raises(ConfigError):
             compute_ranks(params, instances[:1], "unseen", 1.0, mode="nope")
-        with pytest.raises(ConfigError):
-            compute_ranks(params, instances[:1], "unseen", 1.0, threads=0)
+
+
+class TestBatchedRanking:
+    @pytest.mark.parametrize("task", ["unseen", "repeat"])
+    @pytest.mark.parametrize("mode", SCORING_MODES)
+    def test_ranks_equal_per_instance_reference(self, mode, task):
+        split = chronological_split(
+            planted_corpus(n_users=6, n_items=80, sessions_per_user=12, seed=5)
+        )
+        tags = sorted({s.user_tag for s in split.train})[:4]
+        cfg = TrainConfig(embed_dim=8, proxy_count=5, max_len=50, mode=mode, seed=4)
+        params = init_model(split.item_count, cfg, user_tags=tags)
+        params.user_bias[1:] = np.random.default_rng(9).normal(size=params.user_bias[1:].shape)
+        instances = expand_all(split.test, task, set(tags))
+        assert any(i.known_user for i in instances) and not all(i.known_user for i in instances)
+        got = compute_ranks(params, instances, task, 0.3, mode=mode)
+        np.testing.assert_array_equal(got, reference_ranks(params, instances, task, 0.3, mode))
+
+    @pytest.mark.parametrize("mode", SCORING_MODES)
+    def test_copied_item_rows_rank_by_id(self, mode):
+        # copies near the end of the catalog fall on the matrix product's
+        # tail path, which can round two equal rows to different scores
+        rng = np.random.default_rng(0)
+        cfg = TrainConfig(embed_dim=15, proxy_count=3, max_len=8, seed=2)
+        params = init_model(206, cfg)
+        pairs = [(118, 204), (3, 206), (40, 205), (77, 203)]
+        for i, j in pairs:
+            params.items[j] = params.items[i]
+        instances = []
+        for _ in range(12):
+            prefix = tuple(int(x) for x in rng.integers(1, 3, size=int(rng.integers(1, 4))))
+            for pair in pairs:
+                instances += [
+                    PredictionInstance(prefix=prefix, target=t, parent_items=prefix + (t,))
+                    for t in pair
+                ]
+        ranks = compute_ranks(params, instances, "unseen", 1.0, mode=mode)
+        np.testing.assert_array_equal(ranks[1::2], ranks[::2] + 1)
+
+    def test_cancelling_mixture_raises_only_at_inference(self):
+        cfg = TrainConfig(embed_dim=2, proxy_count=2, max_len=4, negatives=2, seed=1)
+        params = init_model(6, cfg)
+        params.bank.proxies[:] = [[0.5, 0.0], [-0.5, 0.0]]
+        params.bank.normals[:] = [[0.0, 1.0], [0.0, -1.0]]
+        params.selector.w2[:] = 0.0  # equal logits: pi = (1/2, 1/2) cancels both banks
+        inst = PredictionInstance(prefix=(1, 2), target=3, parent_items=(1, 2, 3))
+        with pytest.raises(DegenerateProxyError):
+            evaluate(params, [inst], "unseen", tau=1.0)
+        J, _ = objective([inst], make_leaves(params), 1.0, cfg, np.array([[4, 5]]))
+        assert np.isfinite(J.data)

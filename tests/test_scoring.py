@@ -3,17 +3,43 @@
 import numpy as np
 import pytest
 
+from proxyrec.autodiff import Tensor
 from proxyrec.errors import ConfigError, DegenerateProxyError, MetricError
-from proxyrec.scoring import (
-    dissimilarity,
-    hyperplane_normal,
-    project_to_hyperplane,
-    score_catalog,
-)
+from proxyrec.scoring import SCORING_MODES, catalog_scores, distance, project, query
+from proxyrec.selector import assemble_normal
 
 
 def unit(v):
     return v / np.linalg.norm(v)
+
+
+def rows(x):
+    return None if x is None else Tensor(np.atleast_2d(x))
+
+
+def project_to_hyperplane(x, v):
+    """x (d,) or a stack (n, d) projected onto the hyperplane of one normal."""
+    out = project(rows(x), rows(v), "full").data
+    return out if np.ndim(x) > 1 else out[0]
+
+
+def hyperplane_normal(pi, normals, strict=True):
+    return assemble_normal(Tensor(pi[None]), Tensor(normals), strict).data[0]
+
+
+def dissimilarity(proxy, short, item_vec, normal, mode="full"):
+    """One session state against one item (d,) or a stack (n, d)."""
+    v = rows(normal)
+    q = query(rows(proxy), v, rows(short), mode)
+    out = distance(q, project(rows(item_vec), v, mode), mode).data
+    return out if np.ndim(item_vec) > 1 else float(out[0])
+
+
+def score_catalog(proxy, short, normal, table, mask=None, mode="full"):
+    """One session's catalog row through the expanded two-GEMM scorer."""
+    q = query(rows(proxy), rows(normal), rows(short), mode).data
+    v = None if normal is None else np.atleast_2d(normal)
+    return catalog_scores(q, v, table, mode, None if mask is None else [mask])[0]
 
 
 class TestProjection:
@@ -111,10 +137,12 @@ class TestDissimilarity:
         v = unit(rng.normal(size=4))
         p, s = rng.normal(size=4), rng.normal(size=4)
         items = rng.normal(size=(6, 4))
-        for mode in ("full", "proxy_only", "short_only", "no_projection", "dot_product"):
+        for mode in SCORING_MODES:
             batch = dissimilarity(p, s, items, v, mode)
             singles = [dissimilarity(p, s, it, v, mode) for it in items]
             np.testing.assert_allclose(batch, singles, atol=1e-12)
+            expanded = score_catalog(p, s, v, np.vstack([np.zeros(4), items]), mode=mode)
+            np.testing.assert_allclose(expanded[1:], singles, atol=1e-12)
 
     def test_full_score_ignores_normal_component_of_item(self):
         rng = np.random.default_rng(6)

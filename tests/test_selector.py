@@ -3,22 +3,44 @@
 import numpy as np
 import pytest
 
+from proxyrec.autodiff import Tensor
 from proxyrec.data import PredictionInstance
 from proxyrec.errors import ConfigError, DegenerateProxyError, LengthError
 from proxyrec.selector import (
     AnnealSchedule,
-    ProxyBank,
     SelectorParams,
     assemble_proxy,
-    encode_logits,
-    select_for_inference,
-    select_for_training,
-    selection_distribution,
+    select,
+    selection_distribution as batched_distribution,
+    selection_logits,
     temperature,
 )
 from proxyrec.trainer import TrainConfig, init_model
 
 DEFAULT = AnnealSchedule(3.0, 0.01, 10)
+
+
+def selection_distribution(logits, tau, bias=None):
+    """One distribution through the batched softmax."""
+    b = None if bias is None else Tensor(np.asarray(bias)[None])
+    return batched_distribution(Tensor(np.asarray(logits)[None]), tau, b).data[0]
+
+
+def proxy_and_gamma(pi, proxies, strict=True):
+    """One assembled proxy and its rescaling factor ||proxy|| / ||pi @ P||."""
+    proxy = assemble_proxy(Tensor(pi[None]), Tensor(proxies), strict).data[0]
+    combined = np.linalg.norm(pi @ proxies)
+    return proxy, float(np.linalg.norm(proxy) / combined) if combined else 0.0
+
+
+def encode_logits(items, item_table, sel):
+    leaves = {
+        "items": Tensor(item_table),
+        "sel_w1": Tensor(sel.w1),
+        "sel_w2": Tensor(sel.w2),
+        "sel_pos": Tensor(sel.pos),
+    }
+    return selection_logits([items], leaves).data[0]
 
 
 class TestTemperature:
@@ -117,11 +139,8 @@ class TestSelectionDistribution:
 
 class TestAssembleProxy:
     def test_two_proxy_oracle(self):
-        bank = ProxyBank(
-            proxies=np.array([[1.0, 0.0], [0.0, 1.0]]),
-            normals=np.eye(2),
-        )
-        proxy, gamma = assemble_proxy(np.array([0.5, 0.5]), bank)
+        proxies = np.array([[1.0, 0.0], [0.0, 1.0]])
+        proxy, gamma = proxy_and_gamma(np.array([0.5, 0.5]), proxies)
         assert gamma == pytest.approx(np.sqrt(2.0), abs=1e-12)
         np.testing.assert_allclose(proxy, [np.sqrt(0.5), np.sqrt(0.5)], atol=1e-12)
         assert np.linalg.norm(proxy) == pytest.approx(1.0, abs=1e-12)
@@ -133,7 +152,7 @@ class TestAssembleProxy:
             k, d = int(rng.integers(2, 12)), int(rng.integers(2, 9))
             proxies = rng.normal(size=(k, d))
             pi = rng.dirichlet(np.ones(k))
-            proxy, _ = assemble_proxy(pi, ProxyBank(proxies, np.ones((k, d))))
+            proxy, _ = proxy_and_gamma(pi, proxies)
             expect = float(pi @ np.linalg.norm(proxies, axis=1))
             assert np.linalg.norm(proxy) == pytest.approx(expect, abs=1e-9)
 
@@ -141,28 +160,23 @@ class TestAssembleProxy:
         rng = np.random.default_rng(5)
         proxies = rng.normal(size=(4, 3))
         pi = np.array([0.0, 0.0, 1.0, 0.0])
-        proxy, gamma = assemble_proxy(pi, ProxyBank(proxies, np.ones((4, 3))))
+        proxy, gamma = proxy_and_gamma(pi, proxies)
         np.testing.assert_allclose(proxy, proxies[2], atol=1e-12)
         assert gamma == pytest.approx(1.0, abs=1e-12)
 
     def test_degenerate_strict_raises(self):
-        bank = ProxyBank(proxies=np.zeros((2, 3)), normals=np.ones((2, 3)))
         with pytest.raises(DegenerateProxyError):
-            assemble_proxy(np.array([0.5, 0.5]), bank, strict=True)
+            proxy_and_gamma(np.array([0.5, 0.5]), np.zeros((2, 3)), strict=True)
 
     def test_degenerate_training_path_is_finite(self):
-        bank = ProxyBank(proxies=np.zeros((2, 3)), normals=np.ones((2, 3)))
-        proxy, gamma = assemble_proxy(np.array([0.5, 0.5]), bank, strict=False)
+        proxy, gamma = proxy_and_gamma(np.array([0.5, 0.5]), np.zeros((2, 3)), strict=False)
         assert np.isfinite(proxy).all()
         assert np.isfinite(gamma)
 
     def test_cancelling_rows_are_degenerate(self):
-        bank = ProxyBank(
-            proxies=np.array([[1.0, 0.0], [-1.0, 0.0]]),
-            normals=np.ones((2, 2)),
-        )
+        proxies = np.array([[1.0, 0.0], [-1.0, 0.0]])
         with pytest.raises(DegenerateProxyError):
-            assemble_proxy(np.array([0.5, 0.5]), bank)
+            proxy_and_gamma(np.array([0.5, 0.5]), proxies)
 
 
 class TestEncodeLogits:
@@ -216,23 +230,24 @@ class TestSelectionPaths:
         cfg = TrainConfig(embed_dim=6, proxy_count=4, max_len=8, seed=3)
         return init_model(20, cfg, user_tags=["u1", "u2"])
 
+    def _pi(self, params, inst, strict):
+        leaves = {name: Tensor(arr) for name, arr in params.named().items()}
+        pi, _, _ = select([inst], params.bias_rows([inst]), leaves, 1.0, strict)
+        return pi.data[0]
+
     def test_training_uses_whole_parent_session(self):
         params = self._model()
         parent = (3, 7, 2, 9, 4)
         a = PredictionInstance(prefix=(3,), target=7, parent_items=parent)
         b = PredictionInstance(prefix=(3, 7, 2), target=9, parent_items=parent)
-        pi_a, _ = select_for_training(a, params, tau=1.0)
-        pi_b, _ = select_for_training(b, params, tau=1.0)
-        np.testing.assert_array_equal(pi_a, pi_b)
+        np.testing.assert_array_equal(self._pi(params, a, False), self._pi(params, b, False))
 
     def test_inference_sees_prefix_only(self):
         params = self._model()
         parent = (3, 7, 2, 9, 4)
         a = PredictionInstance(prefix=(3,), target=7, parent_items=parent)
         b = PredictionInstance(prefix=(3, 7, 2), target=9, parent_items=parent)
-        pi_a, _ = select_for_inference(a, params, tau=1.0)
-        pi_b, _ = select_for_inference(b, params, tau=1.0)
-        assert not np.allclose(pi_a, pi_b)
+        assert not np.allclose(self._pi(params, a, True), self._pi(params, b, True))
 
     def test_known_user_bias_applies_only_when_flagged(self):
         params = self._model()
@@ -241,8 +256,8 @@ class TestSelectionPaths:
         known = PredictionInstance(
             prefix=(3, 7), target=9, parent_items=(3, 7, 9), user_tag="u1", known_user=True
         )
-        pi_anon, _ = select_for_inference(anon, params, tau=1.0)
-        pi_known, _ = select_for_inference(known, params, tau=1.0)
+        pi_anon = self._pi(params, anon, True)
+        pi_known = self._pi(params, known, True)
         assert not np.allclose(pi_anon, pi_known)
         assert np.argmax(pi_known) == 0
 
@@ -253,6 +268,5 @@ class TestSelectionPaths:
             prefix=(3, 7), target=9, parent_items=(3, 7, 9), user_tag="nobody", known_user=True
         )
         anon = PredictionInstance(prefix=(3, 7), target=9, parent_items=(3, 7, 9))
-        pi_s, _ = select_for_inference(stranger, params, tau=1.0)
-        pi_a, _ = select_for_inference(anon, params, tau=1.0)
-        np.testing.assert_array_equal(pi_s, pi_a)
+        pi_s = self._pi(params, stranger, True)
+        np.testing.assert_array_equal(pi_s, self._pi(params, anon, True))

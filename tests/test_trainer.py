@@ -1,22 +1,20 @@
 """Training loop: objective graph, Adam, constraints, checkpoints, resume."""
 
+import importlib
+
 import numpy as np
 import pytest
 
 from proxyrec.autodiff import finite_difference_check
 from proxyrec.data import PredictionInstance, Session, chronological_split, expand_all
-from proxyrec.encoder import encode_short_term
 from proxyrec.errors import CheckpointError, ConfigError, DataError, LengthError
-from proxyrec.scoring import dissimilarity, hyperplane_normal
-from proxyrec.selector import select_for_training, temperature
+from proxyrec.selector import temperature
 from proxyrec.synth import planted_corpus
 from proxyrec.trainer import (
     AdamState,
-    ModelParams,
     TrainConfig,
     adam_step,
     fit,
-    hinge_term,
     init_model,
     load_checkpoint,
     make_leaves,
@@ -25,8 +23,7 @@ from proxyrec.trainer import (
     save_checkpoint,
     train_epoch,
 )
-
-EPS = 1e-12
+from reference import hinge_term, reference_objective
 
 
 def small_cfg(**over) -> TrainConfig:
@@ -54,28 +51,6 @@ def make_instances(rng, n, n_items, max_parent=5, tags=("u1", "u2"), known=False
             )
         )
     return out
-
-
-def reference_objective(instances, params, tau, cfg, negatives):
-    """Per-instance recomputation from the single-session functions."""
-    total = 0.0
-    for inst, negs in zip(instances, negatives):
-        proxy = normal = short = None
-        if cfg.mode != "short_only":
-            pi, proxy = select_for_training(inst, params, tau)
-            normal = hyperplane_normal(pi, params.bank.normals, strict=False)
-        if cfg.mode != "proxy_only":
-            short = encode_short_term(inst.prefix, params.items, params.encoder)
-        d_pos = dissimilarity(proxy, short, params.items[inst.target], normal, cfg.mode)
-        for neg in negs:
-            d_neg = dissimilarity(proxy, short, params.items[int(neg)], normal, cfg.mode)
-            total += hinge_term(d_pos, d_neg, cfg.margin)
-        total += cfg.lambda_dist * d_pos
-        if cfg.mode != "short_only":
-            total += cfg.lambda_orthog * abs(float(normal @ proxy)) / (
-                np.linalg.norm(proxy) + EPS
-            )
-    return total
 
 
 class TestObjective:
@@ -308,6 +283,33 @@ class TestFit:
         assert result.val_recall20 == max(vals)
         assert result.epoch == int(np.argmax(vals))
         assert result.tau == result.history[result.epoch]["tau"]
+
+    def test_start_epoch_past_the_last_is_rejected(self):
+        split = chronological_split(tiny_sessions())
+        with pytest.raises(ConfigError):
+            fit(split, TrainConfig(epochs=2), [], start_epoch=2)
+
+    def test_fit_looks_up_evaluate_once_per_epoch(self, monkeypatch):
+        # the benchmark imports these layers by name and times validation by
+        # replacing proxyrec.evaluator.evaluate, which fit must look up per call
+        layers = {
+            name: importlib.import_module(f"proxyrec.{name}")
+            for name in (
+                "data", "trainer", "autodiff", "selector", "encoder", "scoring", "evaluator"
+            )
+        }
+        real = layers["evaluator"].evaluate
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[4])  # tau
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(layers["evaluator"], "evaluate", counted)
+        cfg = small_cfg(epochs=3, patience=3)
+        result = layers["trainer"].fit(chronological_split(tiny_sessions()), cfg)
+        assert len(calls) == len(result.history) == 3
+        assert calls == [h["tau"] for h in result.history]
 
     def test_fit_requires_instances(self):
         sessions = tiny_sessions(n=6)
