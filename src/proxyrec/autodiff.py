@@ -1,12 +1,22 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
 Every operation records itself on an implicit graph: the output Tensor keeps
-references to its inputs and a closure that routes the output gradient back
-to them. backward() on a scalar output walks the recorded trace once in
-reverse topological order, accumulating into .grad on every tensor that
-requires it. Gradients add up across fan-out, so a subexpression used twice
-contributes twice. The walk consumes the graph: a recorded forward supports
-one backward().
+references to its inputs and a closure that takes the output gradient and
+routes it back to them. No closure refers to its own output, so a graph holds
+no reference cycle. backward() on a scalar output walks the recorded trace
+once in reverse topological order, accumulating into .grad on every tensor
+that requires it. Gradients add up across fan-out, so a subexpression used
+twice contributes twice. The walk consumes the graph: a recorded forward
+supports one backward().
+
+Under no_grad(), or when no input requires a gradient, an op records
+nothing: its output keeps neither inputs nor closure, and is freed with its
+last reference.
+
+gather() has a row-sparse gradient: the contributions are summed per
+distinct index into a block of just those rows, which is then added into the
+operand's gradient. A batch that gathers a few rows of a large table pays for
+those rows, plus one dense gradient buffer per table.
 
 Conventions:
   * storage is always float64; inputs are coerced on construction
@@ -143,6 +153,8 @@ class Tensor:
 
     @staticmethod
     def _make(data: np.ndarray, prev: tuple["Tensor", ...], backward, op: str) -> "Tensor":
+        """The output of one op; backward(g) routes the output gradient g to
+        prev and is kept only while recording."""
         if _debug_checks and not np.all(np.isfinite(data)):
             raise NumericError(f"non-finite values out of op '{op}'")
         out = Tensor(data)
@@ -154,8 +166,16 @@ class Tensor:
 
     def _accum(self, g: np.ndarray) -> None:
         if self.grad is None:
+            # one pass; adding +0.0 turns a -0.0 into +0.0 as zeros + g would
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
+
+    def _accum_rows(self, rows: np.ndarray, block: np.ndarray) -> None:
+        """Add block[i] into gradient row rows[i]; rows must be distinct."""
+        if self.grad is None:
             self.grad = np.zeros_like(self.data)
-        self.grad += g
+        self.grad[rows] += block
 
     @property
     def shape(self):
@@ -187,30 +207,25 @@ class Tensor:
         except ValueError:
             raise ShapeError(f"add: shapes {self.data.shape} and {other.data.shape} do not broadcast")
         a, b = self, other
-        out = Tensor._make(data, (a, b), None, "add")
 
-        def backward():
-            g = out.grad
+        def backward(g):
             if a.requires_grad:
                 a._accum(_unbroadcast(g, a.data.shape))
             if b.requires_grad:
                 b._accum(_unbroadcast(g, b.data.shape))
 
-        out._backward = backward
-        return out
+        return Tensor._make(data, (a, b), backward, "add")
 
     __radd__ = __add__
 
     def __neg__(self):
         a = self
-        out = Tensor._make(-a.data, (a,), None, "neg")
 
-        def backward():
+        def backward(g):
             if a.requires_grad:
-                a._accum(-out.grad)
+                a._accum(-g)
 
-        out._backward = backward
-        return out
+        return Tensor._make(-a.data, (a,), backward, "neg")
 
     def __sub__(self, other):
         other = Tensor._coerce(other)
@@ -219,17 +234,14 @@ class Tensor:
         except ValueError:
             raise ShapeError(f"sub: shapes {self.data.shape} and {other.data.shape} do not broadcast")
         a, b = self, other
-        out = Tensor._make(data, (a, b), None, "sub")
 
-        def backward():
-            g = out.grad
+        def backward(g):
             if a.requires_grad:
                 a._accum(_unbroadcast(g, a.data.shape))
             if b.requires_grad:
                 b._accum(_unbroadcast(-g, b.data.shape))
 
-        out._backward = backward
-        return out
+        return Tensor._make(data, (a, b), backward, "sub")
 
     def __rsub__(self, other):
         return Tensor._coerce(other) - self
@@ -241,17 +253,14 @@ class Tensor:
         except ValueError:
             raise ShapeError(f"mul: shapes {self.data.shape} and {other.data.shape} do not broadcast")
         a, b = self, other
-        out = Tensor._make(data, (a, b), None, "mul")
 
-        def backward():
-            g = out.grad
+        def backward(g):
             if a.requires_grad:
                 a._accum(_unbroadcast(g * b.data, a.data.shape))
             if b.requires_grad:
                 b._accum(_unbroadcast(g * a.data, b.data.shape))
 
-        out._backward = backward
-        return out
+        return Tensor._make(data, (a, b), backward, "mul")
 
     __rmul__ = __mul__
 
@@ -262,17 +271,14 @@ class Tensor:
         except ValueError:
             raise ShapeError(f"div: shapes {self.data.shape} and {other.data.shape} do not broadcast")
         a, b = self, other
-        out = Tensor._make(data, (a, b), None, "div")
 
-        def backward():
-            g = out.grad
+        def backward(g):
             if a.requires_grad:
                 a._accum(_unbroadcast(g / b.data, a.data.shape))
             if b.requires_grad:
                 b._accum(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
-        out._backward = backward
-        return out
+        return Tensor._make(data, (a, b), backward, "div")
 
     def __rtruediv__(self, other):
         return Tensor._coerce(other) / self
@@ -281,14 +287,12 @@ class Tensor:
         if not isinstance(p, (int, float)):
             raise TypeError("only scalar exponents are supported")
         a = self
-        out = Tensor._make(a.data ** p, (a,), None, "pow")
 
-        def backward():
+        def backward(g):
             if a.requires_grad:
-                a._accum(out.grad * p * a.data ** (p - 1))
+                a._accum(g * p * a.data ** (p - 1))
 
-        out._backward = backward
-        return out
+        return Tensor._make(a.data ** p, (a,), backward, "pow")
 
     # -- linear algebra ---------------------------------------------------
 
@@ -301,17 +305,14 @@ class Tensor:
         if ad.ndim == 1 and bd.ndim == 1:
             if ad.shape != bd.shape:
                 raise ShapeError(f"matmul: shapes {ad.shape} and {bd.shape} are incompatible")
-            out = Tensor._make(np.dot(ad, bd), (a, b), None, "matmul")
 
-            def backward_dot():
-                g = out.grad
+            def backward_dot(g):
                 if a.requires_grad:
                     a._accum(g * bd)
                 if b.requires_grad:
                     b._accum(g * ad)
 
-            out._backward = backward_dot
-            return out
+            return Tensor._make(np.dot(ad, bd), (a, b), backward_dot, "matmul")
 
         inner_a = ad.shape[-1]
         inner_b = bd.shape[0] if bd.ndim == 1 else bd.shape[-2]
@@ -321,10 +322,8 @@ class Tensor:
             data = np.matmul(ad, bd)
         except ValueError:
             raise ShapeError(f"matmul: shapes {ad.shape} and {bd.shape} do not broadcast")
-        out = Tensor._make(data, (a, b), None, "matmul")
 
-        def backward():
-            g = out.grad
+        def backward(g):
             # promote 1-D operands the way numpy's matmul does, then reduce back
             G = g
             if ad.ndim == 1:
@@ -337,11 +336,14 @@ class Tensor:
                 ga = _unbroadcast(np.matmul(G, np.swapaxes(B, -1, -2)), A.shape)
                 a._accum(ga.reshape(ad.shape))
             if b.requires_grad:
-                gb = _unbroadcast(np.matmul(np.swapaxes(A, -1, -2), G), B.shape)
+                if ad.ndim > 2 and bd.ndim == 2:
+                    # a stack times one matrix: fold the stack into one GEMM
+                    gb = A.reshape(-1, A.shape[-1]).T @ G.reshape(-1, G.shape[-1])
+                else:
+                    gb = _unbroadcast(np.matmul(np.swapaxes(A, -1, -2), G), B.shape)
                 b._accum(gb.reshape(bd.shape))
 
-        out._backward = backward
-        return out
+        return Tensor._make(data, (a, b), backward, "matmul")
 
     @property
     def mT(self):
@@ -349,14 +351,12 @@ class Tensor:
         a = self
         if a.data.ndim < 2:
             raise ShapeError(f"mT: need ndim >= 2, got shape {a.data.shape}")
-        out = Tensor._make(np.swapaxes(a.data, -1, -2), (a,), None, "mT")
 
-        def backward():
+        def backward(g):
             if a.requires_grad:
-                a._accum(np.swapaxes(out.grad, -1, -2))
+                a._accum(np.swapaxes(g, -1, -2))
 
-        out._backward = backward
-        return out
+        return Tensor._make(np.swapaxes(a.data, -1, -2), (a,), backward, "mT")
 
     # -- shape ops ---------------------------------------------------------
 
@@ -364,44 +364,46 @@ class Tensor:
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         a = self
-        out = Tensor._make(a.data.reshape(shape), (a,), None, "reshape")
 
-        def backward():
+        def backward(g):
             if a.requires_grad:
-                a._accum(out.grad.reshape(a.data.shape))
+                a._accum(g.reshape(a.data.shape))
 
-        out._backward = backward
-        return out
+        return Tensor._make(a.data.reshape(shape), (a,), backward, "reshape")
 
     def gather(self, index):
-        """Select rows along axis 0 with an integer index array of any shape."""
+        """Select rows along axis 0 with an integer index array of any shape.
+
+        The gradient is row-sparse: only the distinct rows the index names
+        are touched, each summing its contributions in index order.
+        """
         idx = np.asarray(index)
         if idx.dtype.kind not in "iu":
             raise ShapeError("gather: index must be integer")
         a = self
-        out = Tensor._make(a.data[idx], (a,), None, "gather")
 
-        def backward():
+        def backward(g):
             if a.requires_grad:
-                buf = np.zeros_like(a.data)
-                np.add.at(buf, idx, out.grad)
-                a._accum(buf)
+                row_shape = a.data.shape[1:]
+                rows, inv = np.unique(idx, return_inverse=True)
+                width = int(np.prod(row_shape))
+                # bincount sums each slot in index order, as np.add.at would
+                slots = (inv.reshape(-1, 1) * width + np.arange(width)).ravel()
+                block = np.bincount(slots, weights=g.reshape(-1), minlength=rows.size * width)
+                a._accum_rows(rows, block.reshape((rows.size,) + row_shape))
 
-        out._backward = backward
-        return out
+        return Tensor._make(a.data[idx], (a,), backward, "gather")
 
     # -- reductions ----------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False):
         a = self
-        out = Tensor._make(a.data.sum(axis=axis, keepdims=keepdims), (a,), None, "sum")
 
-        def backward():
+        def backward(g):
             if a.requires_grad:
-                a._accum(_expand_like(out.grad, a.data.shape, axis, keepdims))
+                a._accum(_expand_like(g, a.data.shape, axis, keepdims))
 
-        out._backward = backward
-        return out
+        return Tensor._make(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward, "sum")
 
     def mean(self, axis=None, keepdims: bool = False):
         a = self
@@ -409,31 +411,27 @@ class Tensor:
         count = 1
         for ax in axes:
             count *= a.data.shape[ax]
-        out = Tensor._make(a.data.mean(axis=axis, keepdims=keepdims), (a,), None, "mean")
 
-        def backward():
+        def backward(g):
             if a.requires_grad:
-                a._accum(_expand_like(out.grad, a.data.shape, axis, keepdims) / count)
+                a._accum(_expand_like(g, a.data.shape, axis, keepdims) / count)
 
-        out._backward = backward
-        return out
+        return Tensor._make(a.data.mean(axis=axis, keepdims=keepdims), (a,), backward, "mean")
 
     def l2norm(self, axis=None, keepdims: bool = False):
         """Euclidean norm over the given axis (all axes when None)."""
         a = self
         sq = (a.data * a.data).sum(axis=axis, keepdims=keepdims)
         norm = np.sqrt(sq)
-        out = Tensor._make(norm, (a,), None, "l2norm")
 
-        def backward():
+        def backward(g):
             if a.requires_grad:
                 n = _expand_like(norm, a.data.shape, axis, keepdims)
-                g = _expand_like(out.grad, a.data.shape, axis, keepdims)
+                g = _expand_like(g, a.data.shape, axis, keepdims)
                 # guard the 0/0 cusp; the true subgradient there is taken as 0
                 a._accum(g * a.data / np.maximum(n, 1e-300))
 
-        out._backward = backward
-        return out
+        return Tensor._make(norm, (a,), backward, "l2norm")
 
     def inner(self, other, axis: int = -1, keepdims: bool = False):
         """Inner product sum(a * b) over one axis, with broadcasting."""
@@ -444,17 +442,16 @@ class Tensor:
         except ValueError:
             raise ShapeError(f"inner: shapes {a.data.shape} and {b.data.shape} do not broadcast")
         data = prod.sum(axis=axis, keepdims=keepdims)
-        out = Tensor._make(data, (a, b), None, "inner")
+        shape = prod.shape
 
-        def backward():
-            g = _expand_like(out.grad, prod.shape, axis, keepdims)
+        def backward(g):
+            g = _expand_like(g, shape, axis, keepdims)
             if a.requires_grad:
                 a._accum(_unbroadcast(g * b.data, a.data.shape))
             if b.requires_grad:
                 b._accum(_unbroadcast(g * a.data, b.data.shape))
 
-        out._backward = backward
-        return out
+        return Tensor._make(data, (a, b), backward, "inner")
 
     def sq_dist(self, other, axis: int = -1):
         """Squared Euclidean distance sum((a-b)^2) over one axis."""
@@ -465,55 +462,48 @@ class Tensor:
         except ValueError:
             raise ShapeError(f"sq_dist: shapes {a.data.shape} and {b.data.shape} do not broadcast")
         data = (diff * diff).sum(axis=axis)
-        out = Tensor._make(data, (a, b), None, "sq_dist")
 
-        def backward():
-            g = 2.0 * diff * _expand_like(out.grad, diff.shape, axis, False)
+        def backward(g):
+            g = 2.0 * diff * _expand_like(g, diff.shape, axis, False)
             if a.requires_grad:
                 a._accum(_unbroadcast(g, a.data.shape))
             if b.requires_grad:
                 b._accum(_unbroadcast(-g, b.data.shape))
 
-        out._backward = backward
-        return out
+        return Tensor._make(data, (a, b), backward, "sq_dist")
 
     # -- nonlinearities ---------------------------------------------------
 
     def relu(self):
         a = self
         _record_kink(a.data)
-        out = Tensor._make(np.maximum(a.data, 0.0), (a,), None, "relu")
 
-        def backward():
+        def backward(g):
             if a.requires_grad:
-                a._accum(out.grad * (a.data > 0.0))
+                a._accum(g * (a.data > 0.0))
 
-        out._backward = backward
-        return out
+        return Tensor._make(np.maximum(a.data, 0.0), (a,), backward, "relu")
 
     def leaky_relu(self, slope: float = 0.1):
         a = self
         _record_kink(a.data)
-        out = Tensor._make(np.where(a.data > 0.0, a.data, slope * a.data), (a,), None, "leaky_relu")
 
-        def backward():
+        def backward(g):
             if a.requires_grad:
-                a._accum(out.grad * np.where(a.data > 0.0, 1.0, slope))
+                a._accum(g * np.where(a.data > 0.0, 1.0, slope))
 
-        out._backward = backward
-        return out
+        data = np.where(a.data > 0.0, a.data, slope * a.data)
+        return Tensor._make(data, (a,), backward, "leaky_relu")
 
     def abs(self):
         a = self
         _record_kink(a.data)
-        out = Tensor._make(np.abs(a.data), (a,), None, "abs")
 
-        def backward():
+        def backward(g):
             if a.requires_grad:
-                a._accum(out.grad * np.sign(a.data))
+                a._accum(g * np.sign(a.data))
 
-        out._backward = backward
-        return out
+        return Tensor._make(np.abs(a.data), (a,), backward, "abs")
 
     def softmax(self, axis: int = -1):
         """Numerically stable softmax along one axis (max is subtracted first)."""
@@ -521,25 +511,21 @@ class Tensor:
         shifted = a.data - a.data.max(axis=axis, keepdims=True)
         e = np.exp(shifted)
         y = e / e.sum(axis=axis, keepdims=True)
-        out = Tensor._make(y, (a,), None, "softmax")
 
-        def backward():
+        def backward(g):
             if a.requires_grad:
-                g = out.grad
                 a._accum(y * (g - (g * y).sum(axis=axis, keepdims=True)))
 
-        out._backward = backward
-        return out
+        return Tensor._make(y, (a,), backward, "softmax")
 
     # -- autodiff driver -----------------------------------------------------
 
     def backward(self):
         """Reverse pass from a scalar output; accumulates into .grad leaves.
 
-        Afterwards every recorded node forgets its inputs and closure. Each
-        closure refers to its own output tensor, so a kept graph would be a
-        reference cycle that only a full garbage collection frees; cut, it
-        goes away with the last reference to the root.
+        Afterwards every recorded node forgets its inputs and closure, so the
+        batch's intermediate arrays and their gradients are freed as soon as
+        the caller drops them, even while it still holds the root.
         """
         if self.data.size != 1:
             raise GradientError(f"backward requires a scalar output, got shape {self.data.shape}")
@@ -561,7 +547,7 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
             if node._backward is not None:
-                node._backward()
+                node._backward(node.grad)
         for node in order:
             if node._prev:
                 node._backward = None
@@ -574,20 +560,17 @@ def concat(tensors, axis: int = 0) -> Tensor:
     if not tensors:
         raise ShapeError("concat: empty input list")
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    out = Tensor._make(data, tuple(tensors), None, "concat")
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
-    def backward():
-        g = out.grad
+    def backward(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
             if t.requires_grad:
                 sl = [slice(None)] * g.ndim
                 sl[axis] = slice(lo, hi)
                 t._accum(g[tuple(sl)])
 
-    out._backward = backward
-    return out
+    return Tensor._make(data, tuple(tensors), backward, "concat")
 
 
 # -- finite-difference verification -----------------------------------------

@@ -148,7 +148,7 @@ def load_interactions(
             raw_item = row["item"]
             try:
                 ts = int(float(row["time"]))
-            except ValueError:
+            except (ValueError, OverflowError):  # OverflowError: inf
                 raise ParseError(f"{path}: line {lineno}: bad timestamp {row['time']!r}")
             if raw_item not in item_map:
                 item_map[raw_item] = len(item_map) + 1
@@ -483,9 +483,23 @@ def read_split_manifest(data_dir: str) -> tuple[SessionSplit, dict]:
     if not os.path.exists(path):
         raise DataError(f"no manifest at {path}; run prepare first")
     with open(path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise DataError(f"{path}: not a JSON manifest: {exc}")
+    files = manifest.get("files") if isinstance(manifest, dict) else None
+    if (
+        not isinstance(files, dict)
+        or sorted(files) != sorted(_SPLIT_FILES)
+        or not all(isinstance(f, str) for f in files.values())
+        or type(manifest.get("item_count")) is not int
+    ):
+        raise DataError(
+            f"{path}: manifest needs 'files' naming the train, valid and test "
+            "files and an integer 'item_count'"
+        )
     parts = {}
-    for name, fname in manifest["files"].items():
+    for name, fname in files.items():
         with open(os.path.join(data_dir, fname), encoding="utf-8") as fh:
             parts[name] = [_session_from_json(line) for line in fh if line.strip()]
     split = SessionSplit(

@@ -7,13 +7,22 @@ same way regardless of session length):
     X_j = item_{s_j} + pos_{n-j}          j = 1..n, 0-indexed pos
 
 Queries and keys go through relu projections, attention weights are a
-row-wise softmax of QK'/sqrt(d), and the attended rows get a residual add.
-The last row (the most recent item) is read out through a two-layer head
-with biases. There is no causal mask: the prefix is fully observed, every
+softmax of QK'/sqrt(d), and the attended rows get a residual add. Only the
+last row (the most recent item) is read out, through a two-layer head with
+biases. There is no causal mask: the prefix is fully observed, every
 position may attend everywhere.
 
-Prefixes are encoded in batches as recorded autodiff ops, one attention
-block per distinct prefix length; training and evaluation share this path.
+The block has one layer and the head reads one row, so only that row is
+computed: its query against every key, weights (B, L) rather than (B, L, L).
+For the row that is read this is the same math as the full (n, n) block.
+
+Prefixes are encoded in batches as recorded autodiff ops, one (B, L) block
+per batch with L the longest prefix. Each prefix is left-padded with item 0,
+so its most recent item sits in column L-1 and takes positional row 0.
+Padded keys get the large finite bias KEY_PAD_BIAS before the softmax: their
+weight underflows to exactly 0, every value stays finite, and a prefix in a
+padded batch attends as it would alone. Training and evaluation share this
+path.
 """
 
 from __future__ import annotations
@@ -23,7 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor
-from .selector import _buckets, _check_lengths, _restore_order
+from .selector import _id_block
+
+KEY_PAD_BIAS = -1e30  # added to the attention score of every padded key
 
 
 @dataclass
@@ -37,27 +48,25 @@ class EncoderParams:
     pos: np.ndarray  # (max_len, d), reverse positional rows
 
 
-def attention(x: Tensor, leaves: dict[str, Tensor]) -> Tensor:
-    """Row-stochastic (..., n, n) attention over stacked input rows (..., n, d)."""
-    q = (x @ leaves["enc_wq"]).relu()
+def attention(x: Tensor, last: Tensor, key_bias: np.ndarray, leaves: dict[str, Tensor]) -> Tensor:
+    """Attention weights (B, L) of each block's most recent row last (B, d)
+    over its input rows x (B, L, d); key_bias (B, L) is added to the scores."""
+    b, _, d = x.data.shape
+    q = (last @ leaves["enc_wq"]).relu().reshape(b, 1, d)
     k = (x @ leaves["enc_wk"]).relu()
-    return ((q @ k.mT) / np.sqrt(x.data.shape[-1])).softmax(axis=-1)
+    return (k.inner(q) / np.sqrt(d) + key_bias).softmax(axis=-1)
 
 
 def encode_prefixes(prefixes, leaves: dict[str, Tensor]) -> Tensor:
     """Short-term interest vectors (B, d), one read off each prefix's most
     recent position."""
     pos = leaves["enc_pos"]
-    _check_lengths(prefixes, pos.data.shape[0], "prefix")
-    chunks, order = [], []
-    for length, idxs in _buckets(prefixes):
-        ids = np.asarray([prefixes[i] for i in idxs], dtype=np.int64)
-        x = leaves["items"].gather(ids) + pos.gather(np.arange(length - 1, -1, -1))
-        z = attention(x, leaves) @ x + x
-        pick_last = np.zeros(length)
-        pick_last[-1] = 1.0
-        z_last = Tensor(pick_last) @ z  # (Bn, d), exact row selection
-        h = ((z_last @ leaves["enc_w1"]) + leaves["enc_b1"]).relu()
-        chunks.append(h @ leaves["enc_w2"] + leaves["enc_b2"])
-        order.extend(idxs)
-    return _restore_order(chunks, order)
+    ids, real = _id_block(prefixes, pos.data.shape[0], "prefix", left=True)
+    b, n = ids.shape
+    d = leaves["items"].data.shape[1]
+    x = leaves["items"].gather(ids) + pos.gather(np.arange(n - 1, -1, -1))
+    last = x.reshape(b * n, d).gather(np.arange(n - 1, b * n, n))
+    att = attention(x, last, np.where(real, 0.0, KEY_PAD_BIAS), leaves)
+    z = x.inner(att.reshape(b, n, 1), axis=1) + last
+    h = ((z @ leaves["enc_w1"]) + leaves["enc_b1"]).relu()
+    return h @ leaves["enc_w2"] + leaves["enc_b2"]

@@ -6,15 +6,19 @@ actually observed at prediction time), degenerate mixtures raise instead of
 being padded, and on the unseen task every prefix item is masked out of the
 catalog before ranking.
 
-Instances are scored in chunks of CHUNK_ELEMENTS // (N+1) rows: one batched
-forward gives the chunk's query points, and two matrix products score the
-whole catalog against them. Those products may round two equal distances
-differently, so every candidate within a narrow band of the target's score
-is scored again, together with the target, by the per-row distance that
-training uses; identical item rows then tie exactly. Ranks are
-deterministic under score ties: an item tied with the target counts
-against it only when its id is smaller. Each instance is ranked on its own
-row; where a chunk boundary falls can move a query point by rounding only.
+Instances are visited in a stable order of prefix length and scored in
+chunks of at most min(CHUNK_ROWS, CHUNK_ELEMENTS // (N+1)) rows; ranks are
+written back in instance order. One batched forward gives a chunk's query
+points, and two matrix products score the whole catalog against them. The
+forward pads each chunk to its longest prefix, so length order keeps the
+padding small, and the row cap bounds the padded blocks. The two products
+may round two equal distances differently, so every candidate within a
+narrow band of the target's score is scored again, together with the
+target, by the per-row distance that training uses; identical item rows
+then tie exactly. Ranks are deterministic under score ties: an item tied
+with the target counts against it only when its id is smaller. Each
+instance is ranked on its own row; which chunk it falls in, and how far
+that chunk is padded, can move its query point by rounding only.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .errors import ConfigError, MetricError
 from .scoring import SCORING_MODES, catalog_scores, distance, project, session_state
 
 CHUNK_ELEMENTS = 2**20  # catalog scores held per chunk (8 MiB of float64)
+CHUNK_ROWS = 256  # instances per chunk at most; each chunk is one padded block
 TIE_BAND = 1e-9  # relative to the squared norms entering the expanded distance
 
 
@@ -83,11 +88,13 @@ def compute_ranks(
     items = params.items
     leaves = {name: Tensor(arr) for name, arr in params.named().items()}
     x_max = float((items * items).sum(axis=1).max())
-    per_chunk = max(1, CHUNK_ELEMENTS // items.shape[0])
+    per_chunk = max(1, min(CHUNK_ROWS, CHUNK_ELEMENTS // items.shape[0]))
+    order = np.argsort([len(i.prefix) for i in instances], kind="stable")
     ranks = np.empty(len(instances), dtype=np.int64)
     with no_grad():
         for lo in range(0, len(instances), per_chunk):
-            chunk = instances[lo : lo + per_chunk]
+            where = order[lo : lo + per_chunk]
+            chunk = [instances[i] for i in where]
             bias_rows = params.bias_rows(chunk)
             _, v, q = session_state(chunk, bias_rows, leaves, tau, mode, strict=True)
             qd, vd = q.data, None if v is None else v.data
@@ -101,7 +108,7 @@ def compute_ranks(
                     v_b = None if vd is None else Tensor(vd[b : b + 1])
                     cand = project(Tensor(items[near]), v_b, mode)
                     row[near] = distance(Tensor(qd[b : b + 1]), cand, mode).data
-                ranks[lo + b] = rank_of_target(row, t)
+                ranks[where[b]] = rank_of_target(row, t)
     return ranks
 
 

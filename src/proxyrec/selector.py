@@ -14,7 +14,13 @@ toward the origin. The same distribution mixes the bank's normal rows into
 the unit normal of the session's hyperplane.
 
 Every function here works on a batch of instances as recorded autodiff ops,
-so training and evaluation run the same forward. The caller's strict flag
+so training and evaluation run the same forward. A batch is one (B, L) block
+of item ids, L its longest session. Sessions start at column 0 and are padded
+with item 0 after their end, so column j of every row takes positional row j
+through one shared gather. W2 is linear, so the mean is taken over the
+hidden rows before W2, and over each row's real positions only (a masked sum
+divided by the length): padding changes no logit and gets a zero gradient.
+The encoder shares the block builder. The caller's strict flag
 picks the regime: during training (non-strict) the distribution is computed
 from the whole parent session, including the items after the prediction
 point, and degenerate mixtures are padded with EPS; at inference (strict)
@@ -23,11 +29,12 @@ only the prefix is available and a degenerate mixture raises.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, concat
+from .autodiff import Tensor
 from .errors import ConfigError, DegenerateProxyError, LengthError
 
 EPS = 1e-12
@@ -76,44 +83,37 @@ def temperature(epoch: int, sched: AnnealSchedule) -> float:
     return max(t, sched.end)
 
 
-def _buckets(seqs) -> list[tuple[int, list[int]]]:
-    """Positions of the sequences grouped by length, in first-seen order."""
-    by_len: dict[int, list[int]] = {}
-    for i, s in enumerate(seqs):
-        by_len.setdefault(len(s), []).append(i)
-    return list(by_len.items())
+def _id_block(seqs, max_rows: int, what: str, left: bool) -> tuple[np.ndarray, np.ndarray]:
+    """One (B, L) id block for a batch, L its longest sequence, and the
+    (B, L) mask of its real positions.
 
-
-def _restore_order(chunks: list[Tensor], order: list[int]) -> Tensor:
-    """Stack per-bucket rows back into the callers' instance order."""
-    whole = chunks[0] if len(chunks) == 1 else concat(chunks, axis=0)
-    if order == sorted(order):
-        return whole
-    inv = np.empty(len(order), dtype=np.int64)
-    inv[np.asarray(order)] = np.arange(len(order))
-    return whole.gather(inv)
-
-
-def _check_lengths(seqs, max_rows: int, what: str) -> None:
-    for s in seqs:
-        if not 1 <= len(s) <= max_rows:
-            raise LengthError(
-                f"{what} length {len(s)} outside positional table of {max_rows} rows"
-            )
+    Each row holds a sequence in order, padded with item 0 after it or,
+    when left is set, before it.
+    """
+    lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+    bad = lengths[(lengths < 1) | (lengths > max_rows)]
+    if bad.size:
+        raise LengthError(
+            f"{what} length {bad[0]} outside positional table of {max_rows} rows"
+        )
+    cols = np.arange(lengths.max())
+    real = cols >= cols.size - lengths[:, None] if left else cols < lengths[:, None]
+    ids = np.zeros(real.shape, dtype=np.int64)
+    ids[real] = np.fromiter(
+        itertools.chain.from_iterable(seqs), dtype=np.int64, count=int(lengths.sum())
+    )
+    return ids, real
 
 
 def selection_logits(item_lists, leaves: dict[str, Tensor]) -> Tensor:
-    """Selection logits (B, K): position-wise FFN scores averaged per session."""
+    """Selection logits (B, K): position-wise FFN scores averaged over each
+    session's real positions (a masked sum divided by the length)."""
     pos = leaves["sel_pos"]
-    _check_lengths(item_lists, pos.data.shape[0], "session")
-    chunks, order = [], []
-    for length, idxs in _buckets(item_lists):
-        ids = np.asarray([item_lists[i] for i in idxs], dtype=np.int64)
-        x = leaves["items"].gather(ids) + pos.gather(np.arange(length))
-        h = (x @ leaves["sel_w1"]).leaky_relu(0.1)
-        chunks.append((h @ leaves["sel_w2"]).mean(axis=1))
-        order.extend(idxs)
-    return _restore_order(chunks, order)
+    ids, real = _id_block(item_lists, pos.data.shape[0], "session", left=False)
+    x = leaves["items"].gather(ids) + pos.gather(np.arange(ids.shape[1]))
+    h = (x @ leaves["sel_w1"]).leaky_relu(0.1)
+    mean_h = h.inner(real[:, :, None], axis=1) / real.sum(axis=1, keepdims=True)
+    return mean_h @ leaves["sel_w2"]
 
 
 def selection_distribution(logits: Tensor, tau: float, bias: Tensor | None = None) -> Tensor:

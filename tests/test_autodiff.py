@@ -140,6 +140,20 @@ class TestLinalg:
         want[5] = 1.0
         np.testing.assert_allclose(table.grad, want)
 
+    def test_gather_grad_is_bit_equal_to_dense_scatter(self):
+        # repeated indices, two gathers of one leaf, a seeded output weight:
+        # the row-sparse gradient must match dense np.add.at bit for bit
+        data = RNG.normal(size=(9, 4))
+        i1 = np.array([[3, 1, 3], [8, 3, 0]])
+        i2 = np.array([1, 1, 5, 3, 1])
+        w1, w2 = RNG.normal(size=(2, 3, 4)), RNG.normal(size=(5, 4))
+        table = Tensor(data, requires_grad=True)
+        ((table.gather(i1) * Tensor(w1)).sum() + (table.gather(i2) * Tensor(w2)).sum()).backward()
+        buf1, buf2 = np.zeros_like(data), np.zeros_like(data)
+        np.add.at(buf1, i1, w1)
+        np.add.at(buf2, i2, w2)
+        np.testing.assert_array_equal(table.grad, buf1 + buf2)
+
     def test_gather_nd_index(self):
         table = Tensor(RNG.normal(size=(8, 2)), requires_grad=True)
         idx = np.array([[0, 1], [1, 7]])
@@ -290,6 +304,21 @@ class TestGraphStructure:
         with pytest.raises(GradientError):
             (t * 2).backward()
 
+    def test_no_grad_output_is_freed_without_a_collector(self):
+        x = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            with no_grad():
+                h = (x * 2.0).relu()
+                out = (h @ Tensor(RNG.normal(size=(4, 2)))).sum()
+            probe = weakref.ref(h)
+            del h, out
+            assert probe() is None
+        finally:
+            if enabled:
+                gc.enable()
+
     def test_no_grad_suppresses_recording(self):
         t = Tensor(np.ones(3), requires_grad=True)
         with no_grad():
@@ -335,13 +364,10 @@ class TestFiniteDifferenceCheck:
         x = Tensor(np.array([1.5, -0.7]), requires_grad=True)
 
         def objective():
-            out = Tensor._make(x.data * 3.0, (x,), None, "bad")
+            def backward(g):
+                x._accum(g * 2.0)  # claims slope 2, real slope 3
 
-            def backward():
-                x._accum(out.grad * 2.0)  # claims slope 2, real slope 3
-
-            out._backward = backward
-            return out.sum()
+            return Tensor._make(x.data * 3.0, (x,), backward, "bad").sum()
 
         report = finite_difference_check(objective, {"x": x})
         assert not report.ok(1e-4)

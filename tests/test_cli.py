@@ -165,7 +165,34 @@ def test_prepare_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_prepare_infinite_timestamp_exits_2(tmp_path, capsys):
+    log = tmp_path / "inf.tsv"
+    log.write_text("u1\ta\t100\nu1\tb\tinf\n", encoding="utf-8")
+    assert main(["prepare", "--input", str(log), "--out-dir", str(tmp_path / "x")]) == 2
+    assert "line 2: bad timestamp 'inf'" in capsys.readouterr().err
+
+
 # -- train -----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{not json",
+        "[1, 2]",
+        '{"item_count": 60}',
+        '{"files": {"train": "train.jsonl", "valid": "valid.jsonl", "test": "test.jsonl"}}',
+        '{"files": {"train": "train.jsonl"}, "item_count": 60}',
+    ],
+    ids=["not-json", "not-object", "no-files", "no-item-count", "files-incomplete"],
+)
+def test_train_rejects_bad_manifest_with_exit_2(prepared, capsys, text):
+    tmp_path, data, cfg = prepared
+    (data / "manifest.json").write_text(text, encoding="utf-8")
+    rc = main(["train", "--data", str(data), "--out-dir", str(tmp_path / "run"),
+               "--config", str(cfg)])
+    assert rc == 2
+    assert "manifest" in capsys.readouterr().err
 
 
 def test_train_writes_checkpoint_log_and_resolved_config(prepared, capsys):

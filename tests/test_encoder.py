@@ -7,6 +7,8 @@ from proxyrec.autodiff import Tensor
 from proxyrec.encoder import EncoderParams, attention, encode_prefixes
 from proxyrec.errors import LengthError
 
+import reference
+
 
 def random_encoder(d: int, max_len: int, seed: int = 0) -> EncoderParams:
     rng = np.random.default_rng(seed)
@@ -30,16 +32,17 @@ def encode_short_term(items, table, enc):
 
 
 def attention_weights(items, table, enc):
-    """The (n, n) attention of one prefix's input rows, most recent at pos 0."""
+    """The most recent row's (n,) attention over one prefix's input rows."""
     x = table[np.asarray(items)] + enc.pos[len(items) - 1 :: -1]
-    return attention(Tensor(x[None]), leaves_of(table, enc)).data[0]
+    no_bias = np.zeros((1, len(items)))
+    return attention(Tensor(x[None]), Tensor(x[None, -1]), no_bias, leaves_of(table, enc)).data[0]
 
 
 def test_single_item_attention_is_exactly_one():
     enc = random_encoder(3, 5, seed=1)
     table = np.random.default_rng(2).normal(size=(6, 3))
     att = attention_weights([4], table, enc)
-    np.testing.assert_array_equal(att, [[1.0]])
+    np.testing.assert_array_equal(att, [1.0])
 
 
 def test_single_item_residual_doubles_the_row():
@@ -57,15 +60,18 @@ def test_zero_projections_give_uniform_attention():
     enc.wk[:] = 0.0
     table = np.random.default_rng(6).normal(size=(9, 4))
     att = attention_weights([1, 5, 2, 7], table, enc)
-    np.testing.assert_allclose(att, np.full((4, 4), 0.25), atol=1e-15)
+    np.testing.assert_allclose(att, np.full(4, 0.25), atol=1e-15)
 
 
 def test_attention_rows_sum_to_one():
     enc = random_encoder(5, 8, seed=7)
     table = np.random.default_rng(8).normal(size=(12, 5))
     att = attention_weights([3, 1, 4, 1, 5], table, enc)
-    np.testing.assert_allclose(att.sum(axis=1), np.ones(5), atol=1e-12)
+    np.testing.assert_allclose(att.sum(), 1.0, atol=1e-12)
     assert (att >= 0).all()
+    # the one row computed is the full block's last row
+    full = reference.attention_weights([3, 1, 4, 1, 5], table, enc)
+    np.testing.assert_allclose(att, full[-1], rtol=0, atol=1e-14)
 
 
 def test_hand_oracle_two_items():
@@ -123,17 +129,18 @@ def test_order_sensitivity():
 def test_no_causal_mask():
     # the first position attends to the last: perturbing the last item
     # changes the first row of the attention matrix. Positive weights and
-    # embeddings keep the relu projections away from the dead zone.
+    # embeddings keep the relu projections away from the dead zone. The
+    # encoder computes only the last row, so this checks the reference.
     enc = random_encoder(4, 6, seed=11)
     rng = np.random.default_rng(12)
     enc.wq = np.abs(enc.wq)
     enc.wk = np.abs(enc.wk)
     enc.pos = np.abs(enc.pos)
     table = np.abs(rng.normal(size=(9, 4)))
-    before = attention_weights([1, 2, 3], table, enc)
+    before = reference.attention_weights([1, 2, 3], table, enc)
     table2 = table.copy()
     table2[3] += 1.0
-    after = attention_weights([1, 2, 3], table2, enc)
+    after = reference.attention_weights([1, 2, 3], table2, enc)
     assert not np.allclose(before[0], after[0])
 
 

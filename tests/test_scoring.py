@@ -4,9 +4,19 @@ import numpy as np
 import pytest
 
 from proxyrec.autodiff import Tensor
+from proxyrec.data import PredictionInstance
+from proxyrec.encoder import encode_prefixes
 from proxyrec.errors import ConfigError, DegenerateProxyError, MetricError
-from proxyrec.scoring import SCORING_MODES, catalog_scores, distance, project, query
-from proxyrec.selector import assemble_normal
+from proxyrec.scoring import (
+    SCORING_MODES,
+    catalog_scores,
+    distance,
+    project,
+    query,
+    session_state,
+)
+from proxyrec.selector import assemble_normal, selection_logits
+from proxyrec.trainer import TrainConfig, init_model
 
 
 def unit(v):
@@ -209,3 +219,40 @@ class TestScoreCatalog:
         a = score_catalog(p, s, v, table, mask=())
         b = score_catalog(p, s, v, table)
         np.testing.assert_array_equal(a, b)
+
+
+class TestPaddedBatch:
+    @pytest.mark.parametrize("strict", [True, False], ids=["strict", "non-strict"])
+    def test_mixed_lengths_match_each_instance_alone(self, strict):
+        # one padded (B, L) block must give every instance what it gets alone:
+        # padding changes no logit, no attention weight, no short-term vector
+        cfg = TrainConfig(embed_dim=6, proxy_count=5, max_len=9, seed=4)
+        params = init_model(30, cfg, user_tags=["u1"])
+        rng = np.random.default_rng(8)
+        params.user_bias[1] = rng.normal(size=cfg.proxy_count)
+        instances = []
+        for n, cut in ((1, 1), (9, 9), (4, 3), (1, 1), (6, 5), (9, 8), (2, 1)):
+            parent = tuple(int(i) for i in rng.integers(1, 31, size=n))
+            instances.append(PredictionInstance(
+                prefix=parent[:cut], target=parent[-1], parent_items=parent,
+                user_tag="u1", known_user=bool(cut % 2),
+            ))
+        leaves = {name: Tensor(arr) for name, arr in params.named().items()}
+        sessions = [i.prefix if strict else i.parent_items for i in instances]
+        prefixes = [i.prefix for i in instances]
+        assert {1, cfg.max_len} <= {len(s) for s in sessions + prefixes}
+
+        bias_rows = params.bias_rows(instances)
+        batch = session_state(instances, bias_rows, leaves, 0.5, "full", strict)
+        logits = selection_logits(sessions, leaves).data
+        short = encode_prefixes(prefixes, leaves).data
+        for b, inst in enumerate(instances):
+            alone = session_state([inst], bias_rows[b : b + 1], leaves, 0.5, "full", strict)
+            for got, want in zip(batch, alone):
+                np.testing.assert_allclose(got.data[b], want.data[0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(
+                logits[b], selection_logits([sessions[b]], leaves).data[0], rtol=0, atol=1e-12
+            )
+            np.testing.assert_allclose(
+                short[b], encode_prefixes([prefixes[b]], leaves).data[0], rtol=0, atol=1e-12
+            )

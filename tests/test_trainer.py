@@ -372,6 +372,14 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(trailing)
 
+    def test_missing_adam_tensors_detected(self, tmp_path):
+        cfg = small_cfg()
+        params = init_model(9, cfg)
+        path = str(tmp_path / "no_adam.ckpt")
+        save_checkpoint(path, params, AdamState(m={}, v={}), 0, 3.0, cfg)
+        with pytest.raises(CheckpointError, match="adam"):
+            load_checkpoint(path)
+
     def test_resume_replays_uninterrupted_run(self, tmp_path):
         cfg = small_cfg(batch_size=4, negatives=2, seed=21)
         rng = np.random.default_rng(14)
