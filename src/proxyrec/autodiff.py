@@ -336,11 +336,7 @@ class Tensor:
                 ga = _unbroadcast(np.matmul(G, np.swapaxes(B, -1, -2)), A.shape)
                 a._accum(ga.reshape(ad.shape))
             if b.requires_grad:
-                if ad.ndim > 2 and bd.ndim == 2:
-                    # a stack times one matrix: fold the stack into one GEMM
-                    gb = A.reshape(-1, A.shape[-1]).T @ G.reshape(-1, G.shape[-1])
-                else:
-                    gb = _unbroadcast(np.matmul(np.swapaxes(A, -1, -2), G), B.shape)
+                gb = _unbroadcast(np.matmul(np.swapaxes(A, -1, -2), G), B.shape)
                 b._accum(gb.reshape(bd.shape))
 
         return Tensor._make(data, (a, b), backward, "matmul")
@@ -385,7 +381,8 @@ class Tensor:
         def backward(g):
             if a.requires_grad:
                 row_shape = a.data.shape[1:]
-                rows, inv = np.unique(idx, return_inverse=True)
+                # a negative index names the same row as its positive form
+                rows, inv = np.unique(idx % a.data.shape[0], return_inverse=True)
                 width = int(np.prod(row_shape))
                 # bincount sums each slot in index order, as np.add.at would
                 slots = (inv.reshape(-1, 1) * width + np.arange(width)).ravel()

@@ -246,12 +246,7 @@ def adam_step(
     state: AdamState,
     lr: float,
 ) -> None:
-    """One in-place Adam update with bias correction.
-
-    Computes m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
-    p -= lr (m / c1) / (sqrt(v / c2) + eps) with two scratch arrays per
-    parameter in place of a temporary for every operation.
-    """
+    """One in-place Adam update with bias correction."""
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1 ** state.step
@@ -260,19 +255,11 @@ def adam_step(
         g = grads[name]
         m = state.m[name]
         v = state.v[name]
-        s1, s2 = np.empty_like(p), np.empty_like(p)
         m *= b1
-        m += np.multiply(g, 1 - b1, out=s1)
+        m += (1 - b1) * g
         v *= b2
-        np.multiply(g, 1 - b2, out=s1)
-        v += np.multiply(s1, g, out=s1)
-        np.divide(m, c1, out=s1)
-        s1 *= lr
-        np.divide(v, c2, out=s2)
-        np.sqrt(s2, out=s2)
-        s2 += state.eps
-        s1 /= s2
-        p -= s1
+        v += (1 - b2) * g * g
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
 
 
 # -- batched objective -----------------------------------------------------------

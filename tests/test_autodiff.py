@@ -141,12 +141,13 @@ class TestLinalg:
         np.testing.assert_allclose(table.grad, want)
 
     def test_gather_grad_is_bit_equal_to_dense_scatter(self):
-        # repeated indices, two gathers of one leaf, a seeded output weight:
-        # the row-sparse gradient must match dense np.add.at bit for bit
+        # repeated and negative indices, two gathers of one leaf, a seeded
+        # output weight: the row-sparse gradient must match dense np.add.at
+        # bit for bit (-1 and 8 name one row, as do -8 and 1)
         data = RNG.normal(size=(9, 4))
         i1 = np.array([[3, 1, 3], [8, 3, 0]])
-        i2 = np.array([1, 1, 5, 3, 1])
-        w1, w2 = RNG.normal(size=(2, 3, 4)), RNG.normal(size=(5, 4))
+        i2 = np.array([1, -8, 5, 3, 1, -1, 8])
+        w1, w2 = RNG.normal(size=(2, 3, 4)), RNG.normal(size=(7, 4))
         table = Tensor(data, requires_grad=True)
         ((table.gather(i1) * Tensor(w1)).sum() + (table.gather(i2) * Tensor(w2)).sum()).backward()
         buf1, buf2 = np.zeros_like(data), np.zeros_like(data)
