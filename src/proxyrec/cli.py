@@ -150,14 +150,9 @@ def resolve_config(
                 f"(expected {CONFIG_KEYS[key].__name__})"
             )
 
-    # probe each training field in isolation so every violation is listed,
-    # with the dataclass itself staying the single authority on the rules
-    base = TrainConfig()
-    for key in TRAIN_KEYS:
-        try:
-            dataclasses.replace(base, **{key: values[key]})
-        except ConfigError as exc:
-            problems.append(f"{key}: {exc}")
+    # the dataclass stays the single authority on the rules; it checks the
+    # resolved fields together, so a rule spanning two fields sees both
+    problems += TrainConfig.problems({key: values[key] for key in TRAIN_KEYS})
 
     if problems:
         raise ConfigError(

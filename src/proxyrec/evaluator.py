@@ -9,16 +9,27 @@ catalog before ranking.
 Instances are visited in a stable order of prefix length and scored in
 chunks of at most min(CHUNK_ROWS, CHUNK_ELEMENTS // (N+1)) rows; ranks are
 written back in instance order. One batched forward gives a chunk's query
-points, and two matrix products score the whole catalog against them. The
-forward pads each chunk to its longest prefix, so length order keeps the
-padding small, and the row cap bounds the padded blocks. The two products
-may round two equal distances differently, so every candidate within a
-narrow band of the target's score is scored again, together with the
-target, by the per-row distance that training uses; identical item rows
-then tie exactly. Ranks are deterministic under score ties: an item tied
-with the target counts against it only when its id is smaller. Each
-instance is ranked on its own row; which chunk it falls in, and how far
-that chunk is padded, can move its query point by rounding only.
+points, and scoring.catalog_scores scores the whole catalog against them
+with folded matrix products: the item table gains a ||x||^2 column and a
+ones column once per call, so each chunk costs one matrix product and two
+elementwise passes. The forward pads each chunk to its longest prefix, so
+length order keeps the padding small, and the row cap bounds the padded
+blocks.
+
+A whole chunk is then ranked with array operations. The products may round
+two equal distances differently, so each row's target score st defines a
+band of half-width TIE_BAND * (1 + ||q||^2 + max ||x||^2). Candidates below
+st - band are counted with one comparison per row. The band's candidates,
+the target included, are gathered for the whole chunk with one nonzero and
+scored again as (row, item) pairs by the per-row project and distance that
+training uses, so identical item rows tie exactly. Then
+
+    rank = 1 + #(below the band)
+             + #(band candidates strictly closer, or tied with a smaller id)
+
+so an item tied with the target counts against it only when its id is
+smaller. Each instance is ranked on its own row; which chunk it falls in,
+and how far that chunk is padded, can move its query point by rounding only.
 """
 
 from __future__ import annotations
@@ -30,28 +41,18 @@ import numpy as np
 from .autodiff import Tensor, no_grad
 from .data import PredictionInstance
 from .errors import ConfigError, MetricError
-from .scoring import SCORING_MODES, catalog_scores, distance, project, session_state
+from .scoring import (
+    SCORING_MODES,
+    catalog_scores,
+    catalog_table,
+    distance,
+    project,
+    session_state,
+)
 
 CHUNK_ELEMENTS = 2**20  # catalog scores held per chunk (8 MiB of float64)
 CHUNK_ROWS = 256  # instances per chunk at most; each chunk is one padded block
 TIE_BAND = 1e-9  # relative to the squared norms entering the expanded distance
-
-
-def rank_of_target(scores: np.ndarray, target: int) -> int:
-    """1-based rank of the target under ascending score, ties broken by id.
-
-    rank = 1 + #(strictly better) + #(tied with a smaller id). Masked items
-    carry +inf and can never outrank anything finite; a non-finite target
-    score means the target itself was masked out, which is a caller bug.
-    """
-    if not 1 <= target < scores.shape[0]:
-        raise MetricError(f"target id {target} outside catalog of {scores.shape[0] - 1}")
-    st = scores[target]
-    if not np.isfinite(st):
-        raise MetricError(f"target id {target} has non-finite score {st}")
-    better = int(np.count_nonzero(scores < st))
-    tied_before = int(np.count_nonzero(scores[:target] == st))
-    return 1 + better + tied_before
 
 
 @dataclass
@@ -87,9 +88,11 @@ def compute_ranks(
         raise ConfigError(f"unknown scoring mode {mode!r}; expected one of {SCORING_MODES}")
     items = params.items
     leaves = {name: Tensor(arr) for name, arr in params.named().items()}
-    x_max = float((items * items).sum(axis=1).max())
+    table = catalog_table(items)
+    x_max = float(table[:, -2].max())
     per_chunk = max(1, min(CHUNK_ROWS, CHUNK_ELEMENTS // items.shape[0]))
     order = np.argsort([len(i.prefix) for i in instances], kind="stable")
+    targets = np.fromiter((i.target for i in instances), dtype=np.int64, count=len(instances))
     ranks = np.empty(len(instances), dtype=np.int64)
     with no_grad():
         for lo in range(0, len(instances), per_chunk):
@@ -99,17 +102,43 @@ def compute_ranks(
             _, v, q = session_state(chunk, bias_rows, leaves, tau, mode, strict=True)
             qd, vd = q.data, None if v is None else v.data
             masks = [i.prefix for i in chunk] if task == "unseen" else None
-            scores = catalog_scores(qd, vd, items, mode, masks)
+            scores = catalog_scores(qd, vd, table, mode, masks)
             bands = TIE_BAND * (1.0 + (qd * qd).sum(axis=1) + x_max)
-            for b, inst in enumerate(chunk):
-                row, t = scores[b], inst.target
-                if 1 <= t < row.shape[0] and np.isfinite(row[t]):
-                    near = np.flatnonzero(np.abs(row - row[t]) <= bands[b])
-                    v_b = None if vd is None else Tensor(vd[b : b + 1])
-                    cand = project(Tensor(items[near]), v_b, mode)
-                    row[near] = distance(Tensor(qd[b : b + 1]), cand, mode).data
-                ranks[where[b]] = rank_of_target(row, t)
+            ranks[where] = _rank_rows(scores, targets[where], bands, qd, vd, items, mode)
     return ranks
+
+
+def _rank_rows(scores, targets, bands, q, v, items, mode) -> np.ndarray:
+    """Rank of each row's target among that row's scores.
+
+    Candidates below the target's band count as closer outright. Those
+    inside it, the target included, are scored again as (row, item) pairs by
+    project and distance, and count when strictly closer or tied with a
+    smaller id.
+    """
+    n = scores.shape[0]
+    bad = (targets < 1) | (targets >= scores.shape[1])
+    if bad.any():
+        t = targets[bad][0]
+        raise MetricError(f"target id {t} outside catalog of {scores.shape[1] - 1}")
+    st = scores[np.arange(n), targets]
+    if not np.isfinite(st).all():
+        b = np.flatnonzero(~np.isfinite(st))[0]
+        raise MetricError(f"target id {targets[b]} has non-finite score {st[b]}")
+    below = scores < (st - bands)[:, None]
+    near = scores <= (st + bands)[:, None]
+    near ^= below
+    # np.nonzero on the 2-D mask is several times slower than on its ravel
+    rows, cols = np.divmod(np.flatnonzero(near), scores.shape[1])
+    cand = project(Tensor(items[cols]), None if v is None else Tensor(v[rows]), mode)
+    exact = distance(Tensor(q[rows]), cand, mode).data
+    row_target = targets[rows]
+    is_target = cols == row_target
+    exact_t = np.empty(n)
+    exact_t[rows[is_target]] = exact[is_target]
+    et = exact_t[rows]
+    closer = (exact < et) | ((exact == et) & (cols < row_target))
+    return 1 + np.count_nonzero(below, axis=1) + np.bincount(rows[closer], minlength=n)
 
 
 def metrics_from_ranks(ranks: np.ndarray, ks: tuple[int, ...]) -> MetricsReport:

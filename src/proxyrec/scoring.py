@@ -14,10 +14,12 @@ projection) or swaps the metric for a negated dot product.
 session_state is the model's forward for a batch; training scores a few
 candidates per instance through project and distance, and evaluation scores
 the whole catalog through catalog_scores, which expands the same distance
-into two matrix products.
+into one matrix product against catalog_table.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -83,30 +85,51 @@ def session_state(
     return p, v, query(p, v, s, mode)
 
 
+def catalog_table(items: np.ndarray) -> np.ndarray:
+    """The item table (N+1, d) with a ||x||^2 column and a ones column
+    appended: the catalog operand of catalog_scores, built once per ranking."""
+    sq = (items * items).sum(axis=1, keepdims=True)
+    return np.hstack([items, sq, np.ones_like(sq)])
+
+
 def catalog_scores(
-    q: np.ndarray, v: np.ndarray | None, items: np.ndarray, mode: str, masks=None
+    q: np.ndarray, v: np.ndarray | None, table: np.ndarray, mode: str, masks=None
 ) -> np.ndarray:
     """Distance (B, N+1) of every catalog row to every query row.
 
-    Expands ||q - x_perp||^2 = ||q||^2 + ||x||^2 - 2 q.x + (x.v)(2 q.v - x.v)
-    so the catalog enters only through the products q X' and v X'. Row 0 of
-    the item table is padding and scores +inf, as does every id in masks[b]
-    for query row b. The expansion rounds differently from distance(), by
-    far less than any gap it is trusted to order.
+    table is catalog_table(items), rows [x, ||x||^2, 1]. With unit normals v
+    the projected distance expands to
+
+        ||q - x_perp||^2 = ||q||^2 + ||x||^2 + x.w - (x.v)^2,   w = 2((q.v)v - q)
+
+    so one product of the stacked rows [w, 1, ||q||^2] and [v, 0, 0] with the
+    table gives ||q||^2 + ||x||^2 + x.w in its upper half and x.v in its
+    lower; x.v is squared and subtracted in place, two elementwise passes in
+    all. The unprojected modes take w = -2q and need only the upper half;
+    dot_product scores -q.x_perp = x.((q.v)v - q), one product against X
+    alone. Row 0 of the item table is padding and scores +inf, as does every
+    id in masks[b] for query row b. The expansion rounds differently from
+    distance(), by far less than any gap it is trusted to order.
     """
-    qx = q @ items.T
+    B, d = q.shape
+    projected = mode in PROJECTED_MODES
     if mode == "dot_product":
-        vx = v @ items.T
-        scores = vx * (q * v).sum(axis=1, keepdims=True) - qx
+        scores = ((q * v).sum(axis=1, keepdims=True) * v - q) @ table[:, :d].T
     else:
-        scores = (q * q).sum(axis=1, keepdims=True) + (items * items).sum(axis=1) - 2.0 * qx
-        if mode in PROJECTED_MODES:
-            vx = v @ items.T
-            scores += vx * (2.0 * (q * v).sum(axis=1, keepdims=True) - vx)
+        lhs = np.hstack([-2.0 * q, np.ones((B, 1)), (q * q).sum(axis=1, keepdims=True)])
+        if projected:
+            lhs[:, :d] += 2.0 * (q * v).sum(axis=1, keepdims=True) * v
+            lhs = np.vstack([lhs, np.hstack([v, np.zeros((B, 2))])])
+        out = lhs @ table.T
+        scores = out[:B]
+        if projected:
+            vx = out[B:]
+            vx *= vx
+            scores -= vx
     scores[:, 0] = np.inf
     if masks is not None:
         rows = np.repeat(np.arange(len(masks)), [len(m) for m in masks])
-        cols = np.fromiter((i for m in masks for i in m), dtype=np.int64, count=rows.size)
+        cols = np.fromiter(itertools.chain.from_iterable(masks), dtype=np.int64, count=rows.size)
         if cols.size:
             if cols.min() < 0 or cols.max() >= scores.shape[1]:
                 raise MetricError(f"mask ids outside catalog: {cols.min()}..{cols.max()}")

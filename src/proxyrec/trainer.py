@@ -19,10 +19,14 @@ ball and normal rows are rescaled to exactly unit norm.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
+import math
+import os
 import struct
 import time
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,17 +73,34 @@ class TrainConfig:
     min_sessions_per_user: int = 10
 
     def __post_init__(self):
-        if self.mode not in SCORING_MODES:
-            raise ConfigError(f"unknown mode {self.mode!r}; expected one of {SCORING_MODES}")
-        if self.task not in ("repeat", "unseen"):
-            raise ConfigError(f"unknown task {self.task!r}")
-        for name in ("embed_dim", "proxy_count", "max_len", "batch_size", "epochs", "negatives"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
-        if not 0.0 <= self.known_user_ratio <= 1.0:
-            raise ConfigError(f"known_user_ratio must be in [0, 1], got {self.known_user_ratio}")
+        problems = TrainConfig.problems(vars(self))
+        if problems:
+            raise ConfigError("; ".join(problems))
+
+    @staticmethod
+    def problems(values: dict) -> list[str]:
+        """Every rule the field values in `values` break, one message each."""
+        out = []
+        if values["mode"] not in SCORING_MODES:
+            out.append(f"unknown mode {values['mode']!r}; expected one of {SCORING_MODES}")
+        if values["task"] not in ("repeat", "unseen"):
+            out.append(f"unknown task {values['task']!r}")
+        for name in ("embed_dim", "proxy_count", "max_len", "batch_size", "epochs", "negatives",
+                     "patience"):
+            if values[name] < 1:
+                out.append(f"{name} must be >= 1, got {values[name]}")
+        if not values["learning_rate"] > 0:
+            out.append(f"learning_rate must be positive, got {values['learning_rate']}")
+        for name in ("margin", "lambda_dist", "lambda_orthog"):
+            if not 0.0 <= values[name] < math.inf:
+                out.append(f"{name} must be finite and >= 0, got {values[name]}")
+        if not 0.0 <= values["known_user_ratio"] <= 1.0:
+            out.append(f"known_user_ratio must be in [0, 1], got {values['known_user_ratio']}")
+        try:
+            AnnealSchedule(values["anneal_start"], values["anneal_end"], values["anneal_epochs"])
+        except ConfigError as exc:
+            out.append(f"anneal_start, anneal_end, anneal_epochs: {exc}")
+        return out
 
     def schedule(self) -> AnnealSchedule:
         return AnnealSchedule(self.anneal_start, self.anneal_end, self.anneal_epochs)
@@ -357,7 +378,7 @@ def train_epoch(
             for name, t in leaves.items()
         }
         grads["user_bias"][0] = 0.0  # anonymous row stays pinned
-        grad_norm_sum += float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
+        grad_norm_sum += float(np.sqrt(sum(float(np.vdot(g, g)) for g in grads.values())))
         adam_step(named, grads, adam, cfg.learning_rate)
         project_constraints(params)
         for key in totals:
@@ -463,7 +484,8 @@ def fit(
 # -- checkpoints -----------------------------------------------------------------
 
 CHECKPOINT_MAGIC = b"PXRC"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSIONS = (1, 2)  # readable; version 1 carries no checksums
 
 
 def save_checkpoint(
@@ -477,7 +499,11 @@ def save_checkpoint(
     """Versioned binary container: magic, version, JSON meta, tensor blocks.
 
     Tensor data is raw little-endian float64 in C order; blocks are sorted by
-    name, so identical state always produces identical bytes.
+    name, so identical state always produces identical bytes. The meta (its
+    length and bytes) and each tensor block (name, shape and data) are
+    followed by their zlib CRC-32. The file is written under a temporary
+    name beside path, synced, and then renamed over path, so a crash
+    mid-write never leaves a partial file under the final name.
     """
     tensors = dict(params.named())
     for name, arr in adam.m.items():
@@ -493,56 +519,86 @@ def save_checkpoint(
         "config": dataclasses.asdict(cfg),
     }
     meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<Q", len(meta_bytes)))
-        fh.write(meta_bytes)
-        fh.write(struct.pack("<Q", len(tensors)))
-        for name in sorted(tensors):
-            arr = np.ascontiguousarray(tensors[name], dtype="<f8")
-            name_b = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(name_b)))
-            fh.write(name_b)
-            fh.write(struct.pack("<B", arr.ndim))
-            for dim in arr.shape:
-                fh.write(struct.pack("<Q", dim))
-            fh.write(arr.tobytes(order="C"))
+
+    def write_block(fh, *parts: bytes) -> None:
+        crc = 0
+        for part in parts:
+            fh.write(part)
+            crc = zlib.crc32(part, crc)
+        fh.write(struct.pack("<I", crc))
+
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
+            write_block(fh, struct.pack("<Q", len(meta_bytes)), meta_bytes)
+            fh.write(struct.pack("<Q", len(tensors)))
+            for name in sorted(tensors):
+                arr = np.ascontiguousarray(tensors[name], dtype="<f8")
+                name_b = name.encode("utf-8")
+                head = struct.pack("<H", len(name_b)) + name_b
+                head += struct.pack(f"<B{arr.ndim}Q", arr.ndim, *arr.shape)
+                write_block(fh, head, arr.tobytes(order="C"))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path: str) -> tuple[ModelParams, AdamState, dict]:
     """Read a checkpoint back; raises CheckpointError on any corruption."""
+    crc = 0  # CRC-32 of the bytes read since the last checksum
 
     def take(fh, n, what):
-        b = fh.read(n)
-        if len(b) != n:
+        nonlocal crc
+        if n > size - fh.tell():  # also keeps a corrupt length from allocating
             raise CheckpointError(f"{path}: truncated while reading {what}")
+        b = fh.read(n)
+        crc = zlib.crc32(b, crc)
         return b
 
+    def verify(fh, what):
+        nonlocal crc
+        if version >= 2:
+            seen = crc
+            (stored,) = struct.unpack("<I", take(fh, 4, f"checksum of {what}"))
+            if stored != seen:
+                raise CheckpointError(f"{path}: checksum mismatch in {what}")
+
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         if take(fh, 4, "magic") != CHECKPOINT_MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
         (version,) = struct.unpack("<I", take(fh, 4, "version"))
-        if version != CHECKPOINT_VERSION:
+        if version not in CHECKPOINT_VERSIONS:
             raise CheckpointError(
-                f"{path}: format version {version}, expected {CHECKPOINT_VERSION}"
+                f"{path}: format version {version}, expected one of {CHECKPOINT_VERSIONS}"
             )
+        crc = 0  # each checksum covers one block: the meta, then each tensor
         (meta_len,) = struct.unpack("<Q", take(fh, 8, "meta length"))
+        meta_bytes = take(fh, meta_len, "meta")
+        verify(fh, "meta")
         try:
-            meta = json.loads(take(fh, meta_len, "meta").decode("utf-8"))
+            meta = json.loads(meta_bytes.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"{path}: corrupt metadata: {exc}")
         (n_tensors,) = struct.unpack("<Q", take(fh, 8, "tensor count"))
         tensors: dict[str, np.ndarray] = {}
         for _ in range(n_tensors):
+            crc = 0
             (name_len,) = struct.unpack("<H", take(fh, 2, "name length"))
-            name = take(fh, name_len, "name").decode("utf-8")
+            name = take(fh, name_len, "name").decode("utf-8", errors="replace")
             (ndim,) = struct.unpack("<B", take(fh, 1, "ndim"))
             shape = tuple(
                 struct.unpack("<Q", take(fh, 8, "dim"))[0] for _ in range(ndim)
             )
-            count = int(np.prod(shape)) if shape else 1
+            count = math.prod(shape)
             data = np.frombuffer(take(fh, count * 8, f"tensor {name}"), dtype="<f8")
+            verify(fh, f"tensor {name}")
             tensors[name] = data.reshape(shape).copy()
         if fh.read(1):
             raise CheckpointError(f"{path}: trailing bytes after last tensor")

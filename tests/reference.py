@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from proxyrec.errors import ConfigError, DegenerateProxyError, LengthError, MetricError
-from proxyrec.evaluator import rank_of_target
 from proxyrec.scoring import SCORING_MODES
 
 EPS = 1e-12
@@ -146,8 +145,12 @@ def hyperplane_normal(pi: np.ndarray, normals: np.ndarray, strict: bool = True) 
 
 
 def project_to_hyperplane(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Remove the component along unit normal v: x - (v.x) v, for (d,) or (..., d)."""
-    return x - np.expand_dims(x @ v, -1) * v if x.ndim > 1 else x - (v @ x) * v
+    """Remove the component along unit normal v: x - (v.x) v, for (d,) or (..., d).
+
+    A stack is reduced row by row, not by a matrix-vector product, so equal
+    rows project to equal vectors wherever they sit in the stack.
+    """
+    return x - (x * v).sum(axis=-1, keepdims=True) * v if x.ndim > 1 else x - (v @ x) * v
 
 
 def dissimilarity(proxy, short, item_vec: np.ndarray, normal, mode: str = "full"):
@@ -169,7 +172,7 @@ def dissimilarity(proxy, short, item_vec: np.ndarray, normal, mode: str = "full"
     else:  # dot_product
         q = proxy + project_to_hyperplane(short, normal)
         target = project_to_hyperplane(item_vec, normal)
-        return -(target @ q) if item_vec.ndim > 1 else -float(q @ target)
+        return -(target * q).sum(axis=-1) if item_vec.ndim > 1 else -float(q @ target)
     diff = q - target
     out = (diff * diff).sum(axis=-1)
     return out if item_vec.ndim > 1 else float(out)
@@ -199,6 +202,23 @@ def score_instance(params, instance, tau: float, task: str, mode: str = "full") 
         short = encode_short_term(instance.prefix, params.items, params.encoder)
     mask = instance.prefix if task == "unseen" else None
     return score_catalog(proxy, short, normal, params.items, mask=mask, mode=mode)
+
+
+def rank_of_target(scores: np.ndarray, target: int) -> int:
+    """1-based rank of the target under ascending score, ties broken by id.
+
+    rank = 1 + #(strictly better) + #(tied with a smaller id). Masked items
+    carry +inf and can never outrank anything finite; a non-finite target
+    score means the target itself was masked out, which is a caller bug.
+    """
+    if not 1 <= target < scores.shape[0]:
+        raise MetricError(f"target id {target} outside catalog of {scores.shape[0] - 1}")
+    st = scores[target]
+    if not np.isfinite(st):
+        raise MetricError(f"target id {target} has non-finite score {st}")
+    better = int(np.count_nonzero(scores < st))
+    tied_before = int(np.count_nonzero(scores[:target] == st))
+    return 1 + better + tied_before
 
 
 def reference_ranks(params, instances, task: str, tau: float, mode: str = "full") -> np.ndarray:

@@ -22,8 +22,8 @@ from proxyrec.data import (
     format_stats,
     split_stats,
 )
-from proxyrec.evaluator import evaluate, metrics_from_ranks, rank_of_target
-from proxyrec.scoring import catalog_scores, distance, project, query, session_state
+from proxyrec.evaluator import evaluate, metrics_from_ranks
+from proxyrec.scoring import catalog_scores, catalog_table, distance, project, query, session_state
 from proxyrec.selector import (
     AnnealSchedule,
     assemble_proxy,
@@ -43,6 +43,7 @@ from proxyrec.trainer import (
     save_checkpoint,
     train_epoch,
 )
+from reference import rank_of_target
 
 
 def verdict(num: int, ok: bool, detail: str) -> None:
@@ -272,7 +273,8 @@ def test_c07_unseen_task_bars_prefix_items_everywhere():
     _, v, q = session_state(instances, params.bias_rows(instances), leaves, 1.0, "full", True)
     masks = [inst.prefix for inst in instances]
     offenders = 0
-    for inst, scores in zip(instances, catalog_scores(q.data, v.data, params.items, "full", masks)):
+    table = catalog_table(params.items)
+    for inst, scores in zip(instances, catalog_scores(q.data, v.data, table, "full", masks)):
         top20 = np.lexsort((np.arange(scores.shape[0]), scores))[:20]
         offenders += bool(set(int(i) for i in top20) & set(inst.prefix))
     verdict(

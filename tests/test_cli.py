@@ -84,6 +84,16 @@ def test_every_config_problem_reported_at_once(tmp_path):
         assert fragment in text
 
 
+def test_anneal_pair_is_checked_as_resolved(tmp_path):
+    path = tmp_path / "anneal.cfg"
+    path.write_text("anneal_start = 0.005\nanneal_end = 0.001\n", encoding="utf-8")
+    resolved = resolve_config(str(path), environ={})
+    assert train_config(resolved).schedule().end == 0.001
+    path.write_text("anneal_start = 0.005\n", encoding="utf-8")  # below the default end
+    with pytest.raises(ConfigError, match="anneal_start"):
+        resolve_config(str(path), environ={})
+
+
 def test_missing_config_file_rejected(tmp_path):
     with pytest.raises(ConfigError):
         resolve_config(str(tmp_path / "nope.cfg"), environ={})
@@ -251,6 +261,19 @@ def test_train_rejects_bad_config_with_exit_1(prepared, capsys):
     err = capsys.readouterr().err
     assert "2 configuration problem" in err
 
+    ranges = tmp_path / "ranges.cfg"
+    ranges.write_text(
+        "anneal_start = 0.001\nmargin = -1\nlambda_dist = -0.5\npatience = -3\n",
+        encoding="utf-8",
+    )
+    rc = main(["train", "--data", str(data), "--out-dir", str(tmp_path / "z"),
+               "--config", str(ranges)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "4 configuration problem" in err
+    for field in ("anneal_start", "margin", "lambda_dist", "patience"):
+        assert field in err
+
     # the evaluation thread pool and its key are gone
     gone = tmp_path / "threads.cfg"
     gone.write_text("threads = 2\n", encoding="utf-8")
@@ -333,6 +356,15 @@ def test_evaluate_item_count_mismatch_is_exit_2(trained, capsys):
     rc = main(["evaluate", "--checkpoint", str(ckpt), "--data", str(other)])
     assert rc == 2
     assert "items" in capsys.readouterr().err
+
+
+def test_evaluate_corrupt_checkpoint_is_exit_2(trained, capsys):
+    _, data, ckpt = trained
+    raw = bytearray(ckpt.read_bytes())
+    raw[-12] ^= 0x01  # inside the last tensor block's data
+    ckpt.write_bytes(bytes(raw))
+    assert main(["evaluate", "--checkpoint", str(ckpt), "--data", str(data)]) == 2
+    assert "checksum mismatch" in capsys.readouterr().err
 
 
 # -- ablate ----------------------------------------------------------------------

@@ -12,12 +12,11 @@ from proxyrec.evaluator import (
     compute_ranks,
     evaluate,
     metrics_from_ranks,
-    rank_of_target,
 )
-from proxyrec.scoring import SCORING_MODES, catalog_scores, session_state
+from proxyrec.scoring import SCORING_MODES, catalog_scores, catalog_table, session_state
 from proxyrec.synth import planted_corpus
 from proxyrec.trainer import TrainConfig, init_model, make_leaves, objective
-from reference import reference_ranks
+from reference import rank_of_target, reference_ranks
 
 
 def score_instance(params, instance, tau, task, mode="full"):
@@ -25,7 +24,8 @@ def score_instance(params, instance, tau, task, mode="full"):
     leaves = {name: Tensor(arr) for name, arr in params.named().items()}
     _, v, q = session_state([instance], params.bias_rows([instance]), leaves, tau, mode, True)
     masks = [instance.prefix] if task == "unseen" else None
-    return catalog_scores(q.data, None if v is None else v.data, params.items, mode, masks)[0]
+    vd = None if v is None else v.data
+    return catalog_scores(q.data, vd, catalog_table(params.items), mode, masks)[0]
 
 
 def slow_rank(scores, target):
@@ -196,19 +196,39 @@ class TestBatchedRanking:
         rng = np.random.default_rng(0)
         cfg = TrainConfig(embed_dim=15, proxy_count=3, max_len=8, seed=2)
         params = init_model(206, cfg)
-        pairs = [(118, 204), (3, 206), (40, 205), (77, 203)]
-        for i, j in pairs:
-            params.items[j] = params.items[i]
+        groups = [(118, 204), (3, 206), (40, 120, 205), (77, 203)]
+        for group in groups:
+            params.items[list(group[1:])] = params.items[group[0]]
         instances = []
         for _ in range(12):
             prefix = tuple(int(x) for x in rng.integers(1, 3, size=int(rng.integers(1, 4))))
-            for pair in pairs:
+            for group in groups:
                 instances += [
                     PredictionInstance(prefix=prefix, target=t, parent_items=prefix + (t,))
-                    for t in pair
+                    for t in group
                 ]
+        assert len(instances) <= evaluator.CHUNK_ROWS  # one chunk ranks every tie
         ranks = compute_ranks(params, instances, "unseen", 1.0, mode=mode)
-        np.testing.assert_array_equal(ranks[1::2], ranks[::2] + 1)
+        want = reference_ranks(params, instances, "unseen", 1.0, mode)
+        np.testing.assert_array_equal(ranks, want)
+        lo = 0
+        for _ in range(12):
+            for group in groups:
+                np.testing.assert_array_equal(np.diff(ranks[lo : lo + len(group)]), 1)
+                lo += len(group)
+
+    @pytest.mark.parametrize(
+        "target, task, prefix",
+        [(0, "repeat", (1,)), (16, "repeat", (1,)), (-1, "repeat", (1,)), (3, "unseen", (2, 3))],
+        ids=["padding-row", "past-catalog", "negative", "masked-in-own-prefix"],
+    )
+    def test_bad_target_in_a_chunk_raises(self, target, task, prefix):
+        cfg = TrainConfig(embed_dim=4, proxy_count=3, max_len=8, seed=3)
+        params = init_model(15, cfg)
+        good = PredictionInstance(prefix=(4,), target=5, parent_items=(4, 5))
+        bad = PredictionInstance(prefix=prefix, target=target, parent_items=prefix + (target,))
+        with pytest.raises(MetricError, match=f"target id {target} "):
+            compute_ranks(params, [good, bad, good], task, 1.0)
 
     def test_cancelling_mixture_raises_only_at_inference(self):
         cfg = TrainConfig(embed_dim=2, proxy_count=2, max_len=4, negatives=2, seed=1)

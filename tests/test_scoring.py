@@ -10,6 +10,7 @@ from proxyrec.errors import ConfigError, DegenerateProxyError, MetricError
 from proxyrec.scoring import (
     SCORING_MODES,
     catalog_scores,
+    catalog_table,
     distance,
     project,
     query,
@@ -46,10 +47,10 @@ def dissimilarity(proxy, short, item_vec, normal, mode="full"):
 
 
 def score_catalog(proxy, short, normal, table, mask=None, mode="full"):
-    """One session's catalog row through the expanded two-GEMM scorer."""
+    """One session's catalog row through the folded one-GEMM scorer."""
     q = query(rows(proxy), rows(normal), rows(short), mode).data
     v = None if normal is None else np.atleast_2d(normal)
-    return catalog_scores(q, v, table, mode, None if mask is None else [mask])[0]
+    return catalog_scores(q, v, catalog_table(table), mode, None if mask is None else [mask])[0]
 
 
 class TestProjection:

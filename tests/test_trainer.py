@@ -1,10 +1,14 @@
 """Training loop: objective graph, Adam, constraints, checkpoints, resume."""
 
 import importlib
+import json
+import os
+import struct
 
 import numpy as np
 import pytest
 
+from proxyrec import trainer as trainer_module
 from proxyrec.autodiff import finite_difference_check
 from proxyrec.data import PredictionInstance, Session, chronological_split, expand_all
 from proxyrec.errors import CheckpointError, ConfigError, DataError, LengthError
@@ -371,6 +375,61 @@ class TestCheckpoint:
         open(trailing, "wb").write(raw + b"\x00")
         with pytest.raises(CheckpointError):
             load_checkpoint(trailing)
+
+    def test_flipped_bit_detected(self, tmp_path):
+        cfg = small_cfg()
+        params = init_model(9, cfg)
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(path, params, AdamState.zeros(params.named()), 0, 3.0, cfg)
+        raw = open(path, "rb").read()
+        meta_at = raw.index(b'"adam_step"')
+        # a byte of the meta, and one of the last tensor block's float data
+        for where, at in (("meta", meta_at), ("tensor", len(raw) - 12)):
+            flipped = bytearray(raw)
+            flipped[at] ^= 0x04
+            bad = tmp_path / f"flip_{where}.ckpt"
+            bad.write_bytes(bytes(flipped))
+            with pytest.raises(CheckpointError, match=f"checksum mismatch in {where}"):
+                load_checkpoint(str(bad))
+
+    def test_version_1_still_loads(self, tmp_path):
+        cfg = small_cfg()
+        params = init_model(9, cfg, user_tags=["a"])
+        adam = AdamState.zeros(params.named())
+        adam.step = 3
+        tensors = dict(params.named())
+        tensors.update({f"adam.m.{k}": a for k, a in adam.m.items()})
+        tensors.update({f"adam.v.{k}": a for k, a in adam.v.items()})
+        meta = json.dumps({"epoch": 1, "tau": 0.5, "adam_step": 3, "user_tags": ["a"]}).encode()
+        # version 1: no checksums after the meta or the tensor blocks
+        raw = [b"PXRC", struct.pack("<IQ", 1, len(meta)), meta, struct.pack("<Q", len(tensors))]
+        for name in sorted(tensors):
+            arr = np.ascontiguousarray(tensors[name], dtype="<f8")
+            raw += [struct.pack("<H", len(name)), name.encode(), struct.pack("<B", arr.ndim)]
+            raw += [struct.pack("<Q", n) for n in arr.shape] + [arr.tobytes()]
+        path = tmp_path / "v1.ckpt"
+        path.write_bytes(b"".join(raw))
+        loaded, adam2, meta2 = load_checkpoint(str(path))
+        for k, arr in params.named().items():
+            np.testing.assert_array_equal(arr, loaded.named()[k])
+        assert (adam2.step, meta2["epoch"], loaded.bias_row("a")) == (3, 1, 1)
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        cfg = small_cfg()
+        params = init_model(9, cfg)
+        adam = AdamState.zeros(params.named())
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), params, adam, 0, 3.0, cfg)
+        before = path.read_bytes()
+
+        def crash(fd):
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(trainer_module.os, "fsync", crash)
+        with pytest.raises(OSError, match="disk gone"):
+            save_checkpoint(str(path), params, adam, 5, 0.1, cfg)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["model.ckpt"]
 
     def test_missing_adam_tensors_detected(self, tmp_path):
         cfg = small_cfg()
