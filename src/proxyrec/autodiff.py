@@ -41,7 +41,6 @@ from .errors import GradientError, NumericError, ShapeError
 
 __all__ = [
     "Tensor",
-    "concat",
     "no_grad",
     "set_debug",
     "KinkRecorder",
@@ -185,9 +184,6 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    def item(self) -> float:
-        return float(self.data)
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -243,9 +239,6 @@ class Tensor:
 
         return Tensor._make(data, (a, b), backward, "sub")
 
-    def __rsub__(self, other):
-        return Tensor._coerce(other) - self
-
     def __mul__(self, other):
         other = Tensor._coerce(other)
         try:
@@ -279,20 +272,6 @@ class Tensor:
                 b._accum(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
         return Tensor._make(data, (a, b), backward, "div")
-
-    def __rtruediv__(self, other):
-        return Tensor._coerce(other) / self
-
-    def __pow__(self, p):
-        if not isinstance(p, (int, float)):
-            raise TypeError("only scalar exponents are supported")
-        a = self
-
-        def backward(g):
-            if a.requires_grad:
-                a._accum(g * p * a.data ** (p - 1))
-
-        return Tensor._make(a.data ** p, (a,), backward, "pow")
 
     # -- linear algebra ---------------------------------------------------
 
@@ -341,19 +320,6 @@ class Tensor:
 
         return Tensor._make(data, (a, b), backward, "matmul")
 
-    @property
-    def mT(self):
-        """Transpose of the last two axes."""
-        a = self
-        if a.data.ndim < 2:
-            raise ShapeError(f"mT: need ndim >= 2, got shape {a.data.shape}")
-
-        def backward(g):
-            if a.requires_grad:
-                a._accum(np.swapaxes(g, -1, -2))
-
-        return Tensor._make(np.swapaxes(a.data, -1, -2), (a,), backward, "mT")
-
     # -- shape ops ---------------------------------------------------------
 
     def reshape(self, *shape):
@@ -401,19 +367,6 @@ class Tensor:
                 a._accum(_expand_like(g, a.data.shape, axis, keepdims))
 
         return Tensor._make(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward, "sum")
-
-    def mean(self, axis=None, keepdims: bool = False):
-        a = self
-        axes = _axis_tuple(axis, a.data.ndim)
-        count = 1
-        for ax in axes:
-            count *= a.data.shape[ax]
-
-        def backward(g):
-            if a.requires_grad:
-                a._accum(_expand_like(g, a.data.shape, axis, keepdims) / count)
-
-        return Tensor._make(a.data.mean(axis=axis, keepdims=keepdims), (a,), backward, "mean")
 
     def l2norm(self, axis=None, keepdims: bool = False):
         """Euclidean norm over the given axis (all axes when None)."""
@@ -549,25 +502,6 @@ class Tensor:
             if node._prev:
                 node._backward = None
                 node._prev = ()
-
-
-def concat(tensors, axis: int = 0) -> Tensor:
-    """Concatenate tensors along an axis; gradient splits back by size."""
-    tensors = [Tensor._coerce(t) for t in tensors]
-    if not tensors:
-        raise ShapeError("concat: empty input list")
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(lo, hi)
-                t._accum(g[tuple(sl)])
-
-    return Tensor._make(data, tuple(tensors), backward, "concat")
 
 
 # -- finite-difference verification -----------------------------------------

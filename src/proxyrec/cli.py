@@ -8,7 +8,8 @@ training and filter fields plus the path keys, layered as
 with unknown keys rejected and every problem in a bad configuration reported
 in a single error rather than one at a time. Each command writes the fully
 resolved configuration next to its outputs, so a run can be replayed from its
-artifacts alone. All output bytes are a pure function of inputs plus seed.
+artifacts alone. All output bytes are a pure function of inputs plus seed,
+except the wall-clock seconds, which go to their own timing files.
 
 Process exit codes: 0 success, 1 usage or configuration, 2 data or artifact
 problems, 3 numeric failure during training.
@@ -17,6 +18,7 @@ problems, 3 numeric failure during training.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -46,6 +48,7 @@ from .trainer import (
 
 CHECKPOINT_FILE = "model.ckpt"
 TRAIN_LOG_FILE = "train_log.jsonl"
+TRAIN_TIMING_FILE = "train_timing.jsonl"
 RESOLVED_FILE = "config.resolved"
 KNOWN_USERS_FILE = "known_users.json"
 ABLATION_FILE = "ablation.json"
@@ -100,17 +103,21 @@ def read_config_file(path: str) -> list[tuple[str, str, str]]:
     if not os.path.exists(path):
         raise ConfigError(f"no config file at {path}")
     triples = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            key, sep, value = stripped.partition("=")
-            origin = f"{path}:{lineno}"
-            if not sep:
-                triples.append(("", stripped, origin))  # flagged downstream
-            else:
-                triples.append((key.strip(), value.strip(), origin))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}")
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        key, sep, value = stripped.partition("=")
+        origin = f"{path}:{lineno}"
+        if not sep:
+            triples.append(("", stripped, origin))  # flagged downstream
+        else:
+            triples.append((key.strip(), value.strip(), origin))
     return triples
 
 
@@ -218,6 +225,28 @@ def _parse_int_list(text: str, what: str, n: int | None = None) -> tuple[int, ..
 # -- commands --------------------------------------------------------------------
 
 
+@contextlib.contextmanager
+def _epoch_logs(out_dir: str, log_name: str, timing_name: str, echo: bool):
+    """A fit log_fn writing each epoch's stats to log_name and its seconds to
+    timing_name, so the stats file is the same bytes on every rerun."""
+    with open(os.path.join(out_dir, log_name), "w", encoding="utf-8") as log, open(
+        os.path.join(out_dir, timing_name), "w", encoding="utf-8"
+    ) as timing:
+
+        def log_line(stats: dict, seconds: float) -> None:
+            log.write(json.dumps(stats, sort_keys=True) + "\n")
+            log.flush()
+            timing.write(json.dumps({"epoch": stats["epoch"], "seconds": seconds}) + "\n")
+            timing.flush()
+            if echo:
+                print(
+                    f"epoch {stats['epoch']:>3}  loss {stats['loss']:.4f}  "
+                    f"val R@20 {stats['val_recall20']:.4f}  ({seconds:.1f}s)"
+                )
+
+        yield log_line
+
+
 def cmd_prepare(args) -> int:
     """load -> sessions -> filters -> chronological split -> manifest."""
     resolved = resolve_config(overrides=_override_pairs(args), environ={})
@@ -260,17 +289,7 @@ def cmd_train(args) -> int:
     known = pick_known_users(split, cfg)
 
     os.makedirs(args.out_dir, exist_ok=True)
-    log_path = os.path.join(args.out_dir, TRAIN_LOG_FILE)
-    with open(log_path, "w", encoding="utf-8") as log:
-
-        def log_line(stats: dict) -> None:
-            log.write(json.dumps(stats, sort_keys=True) + "\n")
-            log.flush()
-            print(
-                f"epoch {stats['epoch']:>3}  loss {stats['loss']:.4f}  "
-                f"val R@20 {stats['val_recall20']:.4f}  ({stats['seconds']:.1f}s)"
-            )
-
+    with _epoch_logs(args.out_dir, TRAIN_LOG_FILE, TRAIN_TIMING_FILE, echo=True) as log_line:
         result = fit(split, cfg, known, log_fn=log_line)
 
     ckpt_path = os.path.join(args.out_dir, CHECKPOINT_FILE)
@@ -368,13 +387,8 @@ def cmd_ablate(args) -> int:
     rows = []
     for name, cfg in ablation_variants(base).items():
         print(f"[{name}]")
-        log_path = os.path.join(args.out_dir, f"{name}.log.jsonl")
-        with open(log_path, "w", encoding="utf-8") as log:
-
-            def log_line(stats: dict) -> None:
-                log.write(json.dumps(stats, sort_keys=True) + "\n")
-                log.flush()
-
+        logs = (f"{name}.log.jsonl", f"{name}.timing.jsonl")
+        with _epoch_logs(args.out_dir, *logs, echo=False) as log_line:
             result = fit(split, cfg, known, log_fn=log_line)
         save_checkpoint(
             os.path.join(args.out_dir, f"{name}.ckpt"),

@@ -14,6 +14,7 @@ from __future__ import annotations
 import gzip
 import json
 import os
+import zlib
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -132,34 +133,37 @@ def load_interactions(
     opener = gzip.open if path.endswith(".gz") else open
     records: list[InteractionRecord] = []
     item_map: dict[str, int] = {}
-    with opener(path, "rt", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if skip_header and lineno == 1:
-                continue
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            parts = line.split(delimiter)
-            if len(parts) != len(cols):
-                raise ParseError(
-                    f"{path}: line {lineno}: expected {len(cols)} fields, got {len(parts)}"
+    try:
+        with opener(path, "rt", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if skip_header and lineno == 1:
+                    continue
+                line = line.rstrip("\n").rstrip("\r")
+                if not line:
+                    continue
+                parts = line.split(delimiter)
+                if len(parts) != len(cols):
+                    raise ParseError(
+                        f"{path}: line {lineno}: expected {len(cols)} fields, got {len(parts)}"
+                    )
+                row = dict(zip(cols, parts))
+                raw_item = row["item"]
+                try:
+                    ts = int(float(row["time"]))
+                except (ValueError, OverflowError):  # OverflowError: inf
+                    raise ParseError(f"{path}: line {lineno}: bad timestamp {row['time']!r}")
+                if raw_item not in item_map:
+                    item_map[raw_item] = len(item_map) + 1
+                records.append(
+                    InteractionRecord(
+                        item_id=item_map[raw_item],
+                        timestamp=ts,
+                        user_tag=row.get("user") or None,
+                        session_tag=row.get("session") or None,
+                    )
                 )
-            row = dict(zip(cols, parts))
-            raw_item = row["item"]
-            try:
-                ts = int(float(row["time"]))
-            except (ValueError, OverflowError):  # OverflowError: inf
-                raise ParseError(f"{path}: line {lineno}: bad timestamp {row['time']!r}")
-            if raw_item not in item_map:
-                item_map[raw_item] = len(item_map) + 1
-            records.append(
-                InteractionRecord(
-                    item_id=item_map[raw_item],
-                    timestamp=ts,
-                    user_tag=row.get("user") or None,
-                    session_tag=row.get("session") or None,
-                )
-            )
+    except (UnicodeDecodeError, EOFError, zlib.error) as exc:  # EOFError: truncated gzip
+        raise ParseError(f"{path}: unreadable: {exc}")
     if not records:
         raise EmptyInputError(f"{path}: no interactions parsed")
     return records, item_map
@@ -421,9 +425,25 @@ def _session_to_json(s: Session) -> str:
     )
 
 
-def _session_from_json(line: str) -> Session:
+def _session_from_json(line: str, item_count: int) -> Session:
+    """One session line; raises ValueError unless it is an object with a
+    non-empty 'items' list of ids in 1..item_count, an integer 'start_ts'
+    and a 'user' string or null."""
     d = json.loads(line)
-    return Session(items=tuple(d["items"]), start_ts=d["start_ts"], user_tag=d["user"])
+    items = d.get("items") if isinstance(d, dict) else None
+    if (
+        not isinstance(items, list)
+        or set(map(type, items)) != {int}
+        or not 1 <= min(items) <= max(items) <= item_count
+        or type(d.get("start_ts")) is not int
+        or "user" not in d
+        or not isinstance(d["user"], (str, type(None)))
+    ):
+        raise ValueError(
+            f"expected a non-empty 'items' list of ids in 1..{item_count}, an integer "
+            "'start_ts' and a 'user' string or null"
+        )
+    return Session(items=tuple(items), start_ts=d["start_ts"], user_tag=d["user"])
 
 
 def write_split_manifest(
@@ -485,27 +505,44 @@ def read_split_manifest(data_dir: str) -> tuple[SessionSplit, dict]:
     with open(path, encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise DataError(f"{path}: not a JSON manifest: {exc}")
     files = manifest.get("files") if isinstance(manifest, dict) else None
     if (
         not isinstance(files, dict)
         or sorted(files) != sorted(_SPLIT_FILES)
-        or not all(isinstance(f, str) for f in files.values())
+        or not all(isinstance(f, str) and "\0" not in f for f in files.values())
         or type(manifest.get("item_count")) is not int
     ):
         raise DataError(
             f"{path}: manifest needs 'files' naming the train, valid and test "
             "files and an integer 'item_count'"
         )
+    item_count = manifest["item_count"]
     parts = {}
     for name, fname in files.items():
-        with open(os.path.join(data_dir, fname), encoding="utf-8") as fh:
-            parts[name] = [_session_from_json(line) for line in fh if line.strip()]
+        fpath = os.path.join(data_dir, fname)
+        try:
+            with open(fpath, encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{fpath}: not UTF-8 text: {exc}")
+        parts[name] = []
+        for lineno, line in enumerate(lines, start=1):
+            if line.strip():
+                try:
+                    parts[name].append(_session_from_json(line, item_count))
+                except (ValueError, RecursionError) as exc:  # RecursionError: deep nesting
+                    raise DataError(f"{fpath}: line {lineno}: {exc}")
+    top = max((max(s.items) for s in parts["train"]), default=0)
+    if top != item_count:
+        raise DataError(
+            f"{path}: item_count {item_count} is not the largest train item id ({top})"
+        )
     split = SessionSplit(
         train=parts["train"],
         valid=parts["valid"],
         test=parts["test"],
-        item_count=manifest["item_count"],
+        item_count=item_count,
     )
     return split, manifest

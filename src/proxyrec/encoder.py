@@ -27,25 +27,12 @@ path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .autodiff import Tensor
 from .selector import _id_block
 
 KEY_PAD_BIAS = -1e30  # added to the attention score of every padded key
-
-
-@dataclass
-class EncoderParams:
-    wq: np.ndarray  # (d, d)
-    wk: np.ndarray  # (d, d)
-    w1: np.ndarray  # (d, d)
-    w2: np.ndarray  # (d, d)
-    b1: np.ndarray  # (d,)
-    b2: np.ndarray  # (d,)
-    pos: np.ndarray  # (max_len, d), reverse positional rows
 
 
 def attention(x: Tensor, last: Tensor, key_bias: np.ndarray, leaves: dict[str, Tensor]) -> Tensor:

@@ -40,7 +40,7 @@ import numpy as np
 
 from .autodiff import Tensor, no_grad
 from .data import PredictionInstance
-from .errors import ConfigError, MetricError
+from .errors import ConfigError, MetricError, NumericError
 from .scoring import (
     SCORING_MODES,
     catalog_scores,
@@ -122,6 +122,8 @@ def _rank_rows(scores, targets, bands, q, v, items, mode) -> np.ndarray:
         t = targets[bad][0]
         raise MetricError(f"target id {t} outside catalog of {scores.shape[1] - 1}")
     st = scores[np.arange(n), targets]
+    if np.isnan(st).any():  # masks give +inf, never nan: the forward itself failed
+        raise NumericError(f"target id {targets[np.isnan(st)][0]} has score nan")
     if not np.isfinite(st).all():
         b = np.flatnonzero(~np.isfinite(st))[0]
         raise MetricError(f"target id {targets[b]} has non-finite score {st[b]}")

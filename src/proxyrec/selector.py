@@ -41,19 +41,6 @@ EPS = 1e-12
 
 
 @dataclass
-class SelectorParams:
-    w1: np.ndarray  # (d, hidden)
-    w2: np.ndarray  # (hidden, K)
-    pos: np.ndarray  # (max_len, d), forward positional rows
-
-
-@dataclass
-class ProxyBank:
-    proxies: np.ndarray  # (K, d), rows kept inside the unit ball
-    normals: np.ndarray  # (K, d), rows kept at unit norm
-
-
-@dataclass
 class AnnealSchedule:
     start: float = 3.0
     end: float = 0.01

@@ -27,22 +27,22 @@ import os
 import struct
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Tensor
 from .data import (
+    TASKS,
     PredictionInstance,
     SessionSplit,
     expand_all,
     flag_known_users,
     sample_negatives,
 )
-from .encoder import EncoderParams
 from .errors import CheckpointError, ConfigError, DataError, NumericError
 from .scoring import SCORING_MODES, distance, project, session_state
-from .selector import EPS, AnnealSchedule, ProxyBank, SelectorParams, temperature
+from .selector import EPS, AnnealSchedule, temperature
 
 # fixed seed-stream tags so resumed runs redraw the exact same randomness
 _STREAM_INIT = 101
@@ -89,8 +89,10 @@ class TrainConfig:
                      "patience"):
             if values[name] < 1:
                 out.append(f"{name} must be >= 1, got {values[name]}")
-        if not values["learning_rate"] > 0:
-            out.append(f"learning_rate must be positive, got {values['learning_rate']}")
+        if values["seed"] < 0:
+            out.append(f"seed must be >= 0, got {values['seed']}")
+        if not 0.0 < values["learning_rate"] < math.inf:
+            out.append(f"learning_rate must be finite and > 0, got {values['learning_rate']}")
         for name in ("margin", "lambda_dist", "lambda_orthog"):
             if not 0.0 <= values[name] < math.inf:
                 out.append(f"{name} must be finite and >= 0, got {values[name]}")
@@ -106,29 +108,27 @@ class TrainConfig:
         return AnnealSchedule(self.anneal_start, self.anneal_end, self.anneal_epochs)
 
 
-@dataclass
 class ModelParams:
-    items: np.ndarray  # (N+1, d); row 0 is unused padding
-    bank: ProxyBank
-    selector: SelectorParams
-    encoder: EncoderParams
-    user_bias: np.ndarray  # (U+1, K); row 0 is the pinned anonymous row
-    user_tags: list[str] = field(default_factory=list)
+    """Every parameter array by the name the forward reads (param_shapes),
+    plus the tags of the known users, whose user-bias rows follow the pinned
+    anonymous row 0."""
 
-    def __post_init__(self):
-        self._rows = {tag: i + 1 for i, tag in enumerate(self.user_tags)}
+    def __init__(self, named: dict[str, np.ndarray], user_tags: list[str]):
+        self._named = named
+        self.user_tags = user_tags
+        self._rows = {tag: i + 1 for i, tag in enumerate(user_tags)}
+
+    @property
+    def items(self) -> np.ndarray:
+        return self._named["items"]
+
+    @property
+    def user_bias(self) -> np.ndarray:
+        return self._named["user_bias"]
 
     @property
     def item_count(self) -> int:
         return self.items.shape[0] - 1
-
-    @property
-    def dim(self) -> int:
-        return self.items.shape[1]
-
-    @property
-    def proxy_count(self) -> int:
-        return self.bank.proxies.shape[0]
 
     def bias_row(self, tag: str | None) -> int:
         return self._rows.get(tag, 0)
@@ -138,41 +138,39 @@ class ModelParams:
         return [self.bias_row(i.user_tag) if i.known_user else 0 for i in instances]
 
     def named(self) -> dict[str, np.ndarray]:
-        return {
-            "items": self.items,
-            "proxies": self.bank.proxies,
-            "normals": self.bank.normals,
-            "sel_w1": self.selector.w1,
-            "sel_w2": self.selector.w2,
-            "sel_pos": self.selector.pos,
-            "enc_wq": self.encoder.wq,
-            "enc_wk": self.encoder.wk,
-            "enc_w1": self.encoder.w1,
-            "enc_w2": self.encoder.w2,
-            "enc_b1": self.encoder.b1,
-            "enc_b2": self.encoder.b2,
-            "enc_pos": self.encoder.pos,
-            "user_bias": self.user_bias,
-        }
+        return self._named
 
     def copy(self) -> "ModelParams":
-        return _params_from_named(
-            {k: v.copy() for k, v in self.named().items()}, list(self.user_tags)
-        )
+        return ModelParams({k: v.copy() for k, v in self._named.items()}, list(self.user_tags))
 
 
-def _params_from_named(t: dict[str, np.ndarray], user_tags: list[str]) -> ModelParams:
-    return ModelParams(
-        items=t["items"],
-        bank=ProxyBank(proxies=t["proxies"], normals=t["normals"]),
-        selector=SelectorParams(w1=t["sel_w1"], w2=t["sel_w2"], pos=t["sel_pos"]),
-        encoder=EncoderParams(
-            wq=t["enc_wq"], wk=t["enc_wk"], w1=t["enc_w1"], w2=t["enc_w2"],
-            b1=t["enc_b1"], b2=t["enc_b2"], pos=t["enc_pos"],
-        ),
-        user_bias=t["user_bias"],
-        user_tags=user_tags,
-    )
+def param_shapes(item_count: int, cfg: dict, users: int) -> dict[str, tuple[int, ...]]:
+    """Every model parameter, by the name the forward reads, and its shape.
+
+    cfg maps embed_dim, proxy_count and max_len (a TrainConfig's fields);
+    users counts the known users. init_model draws the tables in this order.
+    """
+    d, k, L = cfg["embed_dim"], cfg["proxy_count"], cfg["max_len"]
+    hidden = (d + k) // 2
+    return {
+        "items": (item_count + 1, d),  # row 0 is unused padding
+        "proxies": (k, d),  # rows kept inside the unit ball
+        "normals": (k, d),  # rows kept at unit norm
+        "sel_w1": (d, hidden),
+        "sel_w2": (hidden, k),
+        "sel_pos": (L, d),  # forward positional rows
+        "enc_wq": (d, d),
+        "enc_wk": (d, d),
+        "enc_w1": (d, d),
+        "enc_w2": (d, d),
+        "enc_pos": (L, d),  # reverse positional rows
+        "enc_b1": (d,),
+        "enc_b2": (d,),
+        "user_bias": (users + 1, k),  # row 0 is the pinned anonymous row
+    }
+
+
+_ZERO_INIT = ("enc_b1", "enc_b2", "user_bias")  # every other table is drawn
 
 
 def init_model(item_count: int, cfg: TrainConfig, user_tags: list[str] | None = None) -> ModelParams:
@@ -182,51 +180,30 @@ def init_model(item_count: int, cfg: TrainConfig, user_tags: list[str] | None = 
     clipped anyway; normal rows are rescaled to exactly unit norm. Head
     biases and user biases start at zero.
     """
-    d, k, L = cfg.embed_dim, cfg.proxy_count, cfg.max_len
-    hidden = (d + k) // 2
-    rng = np.random.default_rng([cfg.seed, _STREAM_INIT])
-    bound = 1.0 / np.sqrt(d)
-    u = lambda *shape: rng.uniform(-bound, bound, size=shape)
-
-    items = u(item_count + 1, d)
-    items[0] = 0.0
-    proxies = u(k, d)
-    normals = u(k, d)
-    sel_w1 = u(d, hidden)
-    sel_w2 = u(hidden, k)
-    sel_pos = u(L, d)
-    enc_wq = u(d, d)
-    enc_wk = u(d, d)
-    enc_w1 = u(d, d)
-    enc_w2 = u(d, d)
-    enc_pos = u(L, d)
-
     tags = list(user_tags or [])
-    params = ModelParams(
-        items=items,
-        bank=ProxyBank(proxies=proxies, normals=normals),
-        selector=SelectorParams(w1=sel_w1, w2=sel_w2, pos=sel_pos),
-        encoder=EncoderParams(
-            wq=enc_wq, wk=enc_wk, w1=enc_w1, w2=enc_w2,
-            b1=np.zeros(d), b2=np.zeros(d), pos=enc_pos,
-        ),
-        user_bias=np.zeros((len(tags) + 1, k)),
-        user_tags=tags,
-    )
+    rng = np.random.default_rng([cfg.seed, _STREAM_INIT])
+    bound = 1.0 / np.sqrt(cfg.embed_dim)
+    named = {
+        name: np.zeros(shape) if name in _ZERO_INIT else rng.uniform(-bound, bound, size=shape)
+        for name, shape in param_shapes(item_count, vars(cfg), len(tags)).items()
+    }
+    named["items"][0] = 0.0
+    params = ModelParams(named, tags)
     project_constraints(params)
     return params
 
 
 def project_constraints(params: ModelParams) -> None:
     """Clip item/proxy rows into the unit ball; renormalize normal rows."""
-    for table in (params.items, params.bank.proxies):
+    named = params.named()
+    for table in (named["items"], named["proxies"]):
         norms = np.linalg.norm(table, axis=1)
         over = norms > 1.0
         if over.any():
             table[over] /= norms[over, None]
-    vn = np.linalg.norm(params.bank.normals, axis=1)
-    params.bank.normals /= np.maximum(vn, EPS)[:, None]
-    params.user_bias[0] = 0.0
+    vn = np.linalg.norm(named["normals"], axis=1)
+    named["normals"] /= np.maximum(vn, EPS)[:, None]
+    named["user_bias"][0] = 0.0
 
 
 def make_leaves(params: ModelParams) -> dict[str, Tensor]:
@@ -237,14 +214,16 @@ def make_leaves(params: ModelParams) -> dict[str, Tensor]:
 # -- Adam ----------------------------------------------------------------------
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def zeros(cls, named: dict[str, np.ndarray]) -> "AdamState":
@@ -257,7 +236,7 @@ class AdamState:
         return AdamState(
             m={k: a.copy() for k, a in self.m.items()},
             v={k: a.copy() for k, a in self.v.items()},
-            step=self.step, beta1=self.beta1, beta2=self.beta2, eps=self.eps,
+            step=self.step,
         )
 
 
@@ -269,7 +248,7 @@ def adam_step(
 ) -> None:
     """One in-place Adam update with bias correction."""
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** state.step
     c2 = 1.0 - b2 ** state.step
     for name, p in named.items():
@@ -280,7 +259,7 @@ def adam_step(
         m += (1 - b1) * g
         v *= b2
         v += (1 - b2) * g * g
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 # -- batched objective -----------------------------------------------------------
@@ -430,6 +409,8 @@ def fit(
     epochs without strict improvement or at cfg.epochs, whichever is first.
     Pass start_epoch/params/adam to resume a checkpointed run; everything
     else (shuffles, negatives) replays deterministically from (seed, epoch).
+    After each epoch, log_fn(stats, seconds) gets the epoch's deterministic
+    stats and, apart from them, its wall-clock seconds.
     """
     from .evaluator import evaluate  # local import keeps module layering one-way
 
@@ -459,10 +440,9 @@ def fit(
         stats = train_epoch(train_inst, params, leaves, adam, cfg, epoch, tau)
         report = evaluate(params, valid_inst, cfg.task, (20,), tau, mode=cfg.mode)
         stats["val_recall20"] = report.recall[20]
-        stats["seconds"] = round(time.monotonic() - t0, 3)
         history.append(stats)
         if log_fn is not None:
-            log_fn(stats)
+            log_fn(stats, round(time.monotonic() - t0, 3))
         if best is None or stats["val_recall20"] > best.val_recall20:
             best = TrainResult(
                 params=params.copy(),
@@ -584,8 +564,11 @@ def load_checkpoint(path: str) -> tuple[ModelParams, AdamState, dict]:
         verify(fh, "meta")
         try:
             meta = json.loads(meta_bytes.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise CheckpointError(f"{path}: corrupt metadata: {exc}")
+        problems = _meta_problems(meta)
+        if problems:
+            raise CheckpointError(f"{path}: metadata needs {'; '.join(problems)}")
         (n_tensors,) = struct.unpack("<Q", take(fh, 8, "tensor count"))
         tensors: dict[str, np.ndarray] = {}
         for _ in range(n_tensors):
@@ -603,21 +586,40 @@ def load_checkpoint(path: str) -> tuple[ModelParams, AdamState, dict]:
         if fh.read(1):
             raise CheckpointError(f"{path}: trailing bytes after last tensor")
 
-    param_names = {
-        "items", "proxies", "normals", "sel_w1", "sel_w2", "sel_pos",
-        "enc_wq", "enc_wk", "enc_w1", "enc_w2", "enc_b1", "enc_b2",
-        "enc_pos", "user_bias",
-    }
-    adam_names = {f"adam.{s}.{k}" for s in ("m", "v") for k in param_names}
-    missing = (param_names | adam_names) - set(tensors)
+    shapes = param_shapes(meta["item_count"], meta["config"], len(meta["user_tags"]))
+    expected = {f"{prefix}{k}": shape for prefix in ("", "adam.m.", "adam.v.")
+                for k, shape in shapes.items()}
+    missing = set(expected) - set(tensors)
     if missing:
         raise CheckpointError(f"{path}: missing tensors {sorted(missing)}")
-    params = _params_from_named(
-        {k: tensors[k] for k in param_names}, list(meta.get("user_tags", []))
-    )
+    wrong = sorted(k for k, shape in expected.items() if tensors[k].shape != shape)
+    if wrong:
+        raise CheckpointError(f"{path}: tensors {wrong} do not match the shapes in the metadata")
+    params = ModelParams({k: tensors[k] for k in shapes}, meta["user_tags"])
     adam = AdamState(
-        m={k: tensors[f"adam.m.{k}"] for k in param_names},
-        v={k: tensors[f"adam.v.{k}"] for k in param_names},
-        step=int(meta.get("adam_step", 0)),
+        m={k: tensors[f"adam.m.{k}"] for k in shapes},
+        v={k: tensors[f"adam.v.{k}"] for k in shapes},
+        step=meta["adam_step"],
     )
     return params, adam, meta
+
+
+def _meta_problems(meta) -> list[str]:
+    """The rules broken by the metadata fields that loading and evaluation read."""
+    if not isinstance(meta, dict):
+        return ["to be a JSON object"]
+    cfg = meta.get("config") if isinstance(meta.get("config"), dict) else {}
+    count = lambda value, low: type(value) is int and value >= low
+    tags, tau = meta.get("user_tags"), meta.get("tau")
+    rules = {
+        "item_count >= 1": count(meta.get("item_count"), 1),
+        "adam_step >= 0": count(meta.get("adam_step"), 0),
+        "a finite tau > 0": type(tau) in (int, float) and 0 < tau < math.inf,
+        "user_tags as a list of strings": isinstance(tags, list)
+        and all(isinstance(t, str) for t in tags),
+        f"config.mode in {SCORING_MODES}": cfg.get("mode") in SCORING_MODES,
+        f"config.task in {TASKS}": cfg.get("task") in TASKS,
+        **{f"config.{k} >= 1": count(cfg.get(k), 1)
+           for k in ("embed_dim", "proxy_count", "max_len")},
+    }
+    return [rule for rule, ok in rules.items() if not ok]

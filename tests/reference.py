@@ -4,7 +4,8 @@ This is the oracle the batched production path is checked against: one
 session at a time, plain numpy, no autodiff. It follows the formulas in the
 module docstrings of proxyrec.selector, proxyrec.encoder and
 proxyrec.scoring. Strict mode (inference) raises on a degenerate mixture;
-non-strict mode (training) pads the denominator with EPS.
+non-strict mode (training) pads the denominator with EPS. Parameters are
+read by name from a dict of arrays, w, keyed as ModelParams.named() keys them.
 """
 
 from __future__ import annotations
@@ -24,18 +25,19 @@ def _leaky(x: np.ndarray, slope: float = 0.1) -> np.ndarray:
     return np.where(x > 0.0, x, slope * x)
 
 
-def encode_logits(items, item_table: np.ndarray, sel) -> np.ndarray:
+def encode_logits(items, w) -> np.ndarray:
     """Per-session selection logits: position-wise FFN scores, averaged."""
     idx = np.asarray(items, dtype=np.int64)
     n = idx.shape[0]
+    pos = w["sel_pos"]
     if n == 0:
         raise LengthError("cannot encode an empty session")
-    if n > sel.pos.shape[0]:
+    if n > pos.shape[0]:
         raise LengthError(
-            f"session length {n} exceeds positional table of {sel.pos.shape[0]} rows"
+            f"session length {n} exceeds positional table of {pos.shape[0]} rows"
         )
-    x = item_table[idx] + sel.pos[:n]
-    return (_leaky(x @ sel.w1) @ sel.w2).mean(axis=0)
+    x = w["items"][idx] + pos[:n]
+    return (_leaky(x @ w["sel_w1"]) @ w["sel_w2"]).mean(axis=0)
 
 
 def selection_distribution(
@@ -51,12 +53,12 @@ def selection_distribution(
     return e / e.sum()
 
 
-def assemble_proxy(pi: np.ndarray, bank, strict: bool = True) -> tuple[np.ndarray, float]:
+def assemble_proxy(pi: np.ndarray, proxies: np.ndarray, strict: bool = True) -> tuple[np.ndarray, float]:
     """(proxy, gamma) with proxy = gamma * sum_j pi_j P_j and
     ||proxy|| = sum_j pi_j ||P_j||."""
-    combined = pi @ bank.proxies
+    combined = pi @ proxies
     norm = float(np.linalg.norm(combined))
-    mixed_norms = float(pi @ np.linalg.norm(bank.proxies, axis=1))
+    mixed_norms = float(pi @ np.linalg.norm(proxies, axis=1))
     if strict:
         if norm < EPS:
             raise DegenerateProxyError(f"proxy combination has norm {norm:.3e}; cannot rescale")
@@ -67,10 +69,11 @@ def assemble_proxy(pi: np.ndarray, bank, strict: bool = True) -> tuple[np.ndarra
 
 
 def _select(items, instance, params, tau, strict):
-    logits = encode_logits(items, params.items, params.selector)
+    w = params.named()
+    logits = encode_logits(items, w)
     row = params.bias_row(instance.user_tag) if instance.known_user else 0
-    pi = selection_distribution(logits, tau, params.user_bias[row] if row else None)
-    proxy, _ = assemble_proxy(pi, params.bank, strict=strict)
+    pi = selection_distribution(logits, tau, w["user_bias"][row] if row else None)
+    proxy, _ = assemble_proxy(pi, w["proxies"], strict=strict)
     return pi, proxy
 
 
@@ -97,37 +100,39 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def attention_weights(items, item_table: np.ndarray, enc) -> np.ndarray:
+def attention_weights(items, w) -> np.ndarray:
     """The (n, n) attention matrix of one prefix."""
     idx = np.asarray(items, dtype=np.int64)
     n = idx.shape[0]
-    if n == 0 or n > enc.pos.shape[0]:
-        raise LengthError(f"bad prefix length {n} for positional table {enc.pos.shape[0]}")
-    d = item_table.shape[1]
-    x = item_table[idx] + enc.pos[n - 1 :: -1]
-    q = _relu(x @ enc.wq)
-    k = _relu(x @ enc.wk)
+    pos = w["enc_pos"]
+    if n == 0 or n > pos.shape[0]:
+        raise LengthError(f"bad prefix length {n} for positional table {pos.shape[0]}")
+    d = w["items"].shape[1]
+    x = w["items"][idx] + pos[n - 1 :: -1]
+    q = _relu(x @ w["enc_wq"])
+    k = _relu(x @ w["enc_wk"])
     return _softmax_rows(q @ k.T / np.sqrt(d))
 
 
-def encode_short_term(items, item_table: np.ndarray, enc) -> np.ndarray:
+def encode_short_term(items, w) -> np.ndarray:
     """Encode a prefix into one d-vector read off the most recent position."""
     idx = np.asarray(items, dtype=np.int64)
     n = idx.shape[0]
+    pos = w["enc_pos"]
     if n == 0:
         raise LengthError("cannot encode an empty prefix")
-    if n > enc.pos.shape[0]:
+    if n > pos.shape[0]:
         raise LengthError(
-            f"prefix length {n} exceeds positional table of {enc.pos.shape[0]} rows"
+            f"prefix length {n} exceeds positional table of {pos.shape[0]} rows"
         )
-    d = item_table.shape[1]
-    x = item_table[idx] + enc.pos[n - 1 :: -1]
-    q = _relu(x @ enc.wq)
-    k = _relu(x @ enc.wk)
+    d = w["items"].shape[1]
+    x = w["items"][idx] + pos[n - 1 :: -1]
+    q = _relu(x @ w["enc_wq"])
+    k = _relu(x @ w["enc_wk"])
     att = _softmax_rows(q @ k.T / np.sqrt(d))
     z = att @ x + x
     last = z[-1]
-    return _relu(last @ enc.w1 + enc.b1) @ enc.w2 + enc.b2
+    return _relu(last @ w["enc_w1"] + w["enc_b1"]) @ w["enc_w2"] + w["enc_b2"]
 
 
 # -- scoring -----------------------------------------------------------------------
@@ -197,9 +202,9 @@ def score_instance(params, instance, tau: float, task: str, mode: str = "full") 
     proxy = normal = short = None
     if mode != "short_only":
         pi, proxy = select_for_inference(instance, params, tau)
-        normal = hyperplane_normal(pi, params.bank.normals, strict=True)
+        normal = hyperplane_normal(pi, params.named()["normals"], strict=True)
     if mode != "proxy_only":
-        short = encode_short_term(instance.prefix, params.items, params.encoder)
+        short = encode_short_term(instance.prefix, params.named())
     mask = instance.prefix if task == "unseen" else None
     return score_catalog(proxy, short, normal, params.items, mask=mask, mode=mode)
 
@@ -244,9 +249,9 @@ def reference_objective(instances, params, tau, cfg, negatives):
         proxy = normal = short = None
         if cfg.mode != "short_only":
             pi, proxy = select_for_training(inst, params, tau)
-            normal = hyperplane_normal(pi, params.bank.normals, strict=False)
+            normal = hyperplane_normal(pi, params.named()["normals"], strict=False)
         if cfg.mode != "proxy_only":
-            short = encode_short_term(inst.prefix, params.items, params.encoder)
+            short = encode_short_term(inst.prefix, params.named())
         d_pos = dissimilarity(proxy, short, params.items[inst.target], normal, cfg.mode)
         for neg in negs:
             d_neg = dissimilarity(proxy, short, params.items[int(neg)], normal, cfg.mode)

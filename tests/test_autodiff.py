@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from proxyrec import autodiff as ad
-from proxyrec.autodiff import KinkRecorder, Tensor, concat, finite_difference_check, no_grad
+from proxyrec.autodiff import KinkRecorder, Tensor, finite_difference_check, no_grad
 from proxyrec.errors import GradientError, NumericError, ShapeError
 
 RNG = np.random.default_rng(42)
@@ -70,10 +70,6 @@ class TestElementwise:
         out.sum().backward()
         np.testing.assert_allclose(t.grad, [0.5, 0.5])
 
-    def test_pow_grad(self):
-        x = np.abs(RNG.normal(size=(5,))) + 0.5
-        check_unary(lambda t: t ** 3, x, lambda a: a ** 3)
-
     def test_relu_leaky_abs(self):
         x = RNG.normal(size=(7, 3))
         t = Tensor(x, requires_grad=True)
@@ -125,12 +121,6 @@ class TestLinalg:
         with pytest.raises(ShapeError, match=r"\(3, 4\).*\(3, 5\)"):
             Tensor(np.ones((3, 4))) @ Tensor(np.ones((3, 5)))
 
-    def test_transpose_grad(self):
-        a = RNG.normal(size=(2, 3, 4))
-        t = Tensor(a, requires_grad=True)
-        (t.mT * Tensor(RNG.normal(size=(2, 4, 3)))).sum().backward()
-        assert t.grad.shape == a.shape
-
     def test_gather_scatter_adds_for_repeats(self):
         table = Tensor(RNG.normal(size=(6, 3)), requires_grad=True)
         idx = np.array([2, 2, 5])
@@ -163,14 +153,6 @@ class TestLinalg:
         out.sum().backward()
         assert table.grad[1].sum() == pytest.approx(2 * 2)
 
-    def test_concat_grad_splits(self):
-        a = Tensor(RNG.normal(size=(2, 3)), requires_grad=True)
-        b = Tensor(RNG.normal(size=(4, 3)), requires_grad=True)
-        w = RNG.normal(size=(6, 3))
-        (concat([a, b]) * Tensor(w)).sum().backward()
-        np.testing.assert_allclose(a.grad, w[:2])
-        np.testing.assert_allclose(b.grad, w[2:])
-
     def test_reshape_roundtrip_grad(self):
         t = Tensor(RNG.normal(size=(6,)), requires_grad=True)
         (t.reshape(2, 3) * Tensor(np.arange(6.0).reshape(2, 3))).sum().backward()
@@ -181,15 +163,10 @@ class TestReductions:
     @pytest.mark.parametrize("axis,keepdims", [(None, False), (0, False), (1, True), (-1, False)])
     def test_sum_mean_grads(self, axis, keepdims):
         x = RNG.normal(size=(3, 5))
-        for op, scale in [(Tensor.sum, 1.0), (Tensor.mean, None)]:
-            t = Tensor(x.copy(), requires_grad=True)
-            out = op(t, axis=axis, keepdims=keepdims)
-            (out.sum() if out.data.size > 1 else out).backward()
-            if scale is None:
-                n = x.size if axis is None else x.shape[axis]
-                np.testing.assert_allclose(t.grad, np.full_like(x, 1.0 / n))
-            else:
-                np.testing.assert_allclose(t.grad, np.ones_like(x))
+        t = Tensor(x.copy(), requires_grad=True)
+        out = t.sum(axis=axis, keepdims=keepdims)
+        (out.sum() if out.data.size > 1 else out).backward()
+        np.testing.assert_allclose(t.grad, np.ones_like(x))
 
     def test_l2norm_grads(self):
         x = RNG.normal(size=(4, 3)) + 0.1

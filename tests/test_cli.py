@@ -1,7 +1,10 @@
 """Command surface: config layering, exit codes, artifacts, determinism."""
 
+import gzip
 import json
 import os
+import struct
+import zlib
 
 import pytest
 
@@ -182,6 +185,17 @@ def test_prepare_infinite_timestamp_exits_2(tmp_path, capsys):
     assert "line 2: bad timestamp 'inf'" in capsys.readouterr().err
 
 
+def test_prepare_unreadable_log_exits_2(tmp_path, capsys):
+    latin = tmp_path / "latin1.tsv"
+    latin.write_bytes("u1\tcaf\u00e9\t100\nu1\tb\t101\n".encode("latin-1"))
+    packed = gzip.compress(b"u1\ta\t100\nu1\tb\t101\n" * 50)
+    truncated = tmp_path / "cut.tsv.gz"
+    truncated.write_bytes(packed[: len(packed) // 2])
+    for log in (latin, truncated):
+        assert main(["prepare", "--input", str(log), "--out-dir", str(tmp_path / "x")]) == 2
+        assert f"{log}: unreadable" in capsys.readouterr().err
+
+
 # -- train -----------------------------------------------------------------------
 
 
@@ -193,8 +207,13 @@ def test_prepare_infinite_timestamp_exits_2(tmp_path, capsys):
         '{"item_count": 60}',
         '{"files": {"train": "train.jsonl", "valid": "valid.jsonl", "test": "test.jsonl"}}',
         '{"files": {"train": "train.jsonl"}, "item_count": 60}',
+        '{"files": {"train": "train.jsonl", "valid": "valid.jsonl", "test": "test.jsonl"}, '
+        '"item_count": 1060}',
+        '{"files": {"train": "train\\u0000", "valid": "valid.jsonl", "test": "test.jsonl"}, '
+        '"item_count": 60}',
     ],
-    ids=["not-json", "not-object", "no-files", "no-item-count", "files-incomplete"],
+    ids=["not-json", "not-object", "no-files", "no-item-count", "files-incomplete",
+         "item-count-past-catalog", "nul-in-file-name"],
 )
 def test_train_rejects_bad_manifest_with_exit_2(prepared, capsys, text):
     tmp_path, data, cfg = prepared
@@ -203,6 +222,39 @@ def test_train_rejects_bad_manifest_with_exit_2(prepared, capsys, text):
                "--config", str(cfg)])
     assert rc == 2
     assert "manifest" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line,problem",
+    [
+        ("{not json", "Expecting property name"),
+        ('{"start_ts": 5, "user": "u0"}', "non-empty 'items' list"),
+        ('{"items": [1, 999], "start_ts": 5, "user": "u0"}', "ids in 1.."),
+        ("[" * 100_000, "recursion depth"),
+    ],
+    ids=["not-json", "no-items", "item-past-catalog", "deep-nesting"],
+)
+def test_train_rejects_corrupt_split_file_with_exit_2(prepared, capsys, line, problem):
+    tmp_path, data, cfg = prepared
+    lines = (data / "train.jsonl").read_text(encoding="utf-8").splitlines()
+    lines[2] = line
+    (data / "train.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rc = main(["train", "--data", str(data), "--out-dir", str(tmp_path / "run"),
+               "--config", str(cfg)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "train.jsonl: line 3:" in err and problem in err
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_train_diverging_to_a_nan_forward_exits_3(prepared, capsys):
+    # one batch per epoch: the diverged parameters reach validation before
+    # any later batch's loss could report them
+    tmp_path, data, cfg = prepared
+    rc = main(["train", "--data", str(data), "--out-dir", str(tmp_path / "run"),
+               "--config", str(cfg), "--set", "learning_rate=1e300", "--set", "batch_size=100000"])
+    assert rc == 3
+    assert "has score nan" in capsys.readouterr().err
 
 
 def test_train_writes_checkpoint_log_and_resolved_config(prepared, capsys):
@@ -282,6 +334,19 @@ def test_train_rejects_bad_config_with_exit_1(prepared, capsys):
     assert rc == 1
     assert "unknown key 'threads'" in capsys.readouterr().err
 
+    latin = tmp_path / "latin1.cfg"
+    latin.write_bytes("# caf\u00e9\nseed = 3\n".encode("latin-1"))
+    rc = main(["train", "--data", str(data), "--out-dir", str(tmp_path / "w"),
+               "--config", str(latin)])
+    assert rc == 1
+    assert "not UTF-8" in capsys.readouterr().err
+
+    rc = main(["train", "--data", str(data), "--out-dir", str(tmp_path / "v"),
+               "--seed", "-1", "--set", "learning_rate=inf"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "seed must be >= 0" in err and "learning_rate must be finite" in err
+
 
 def test_train_reruns_bit_identical_and_resolved_config_replays(prepared, capsys):
     tmp_path, data, cfg = prepared
@@ -291,6 +356,10 @@ def test_train_reruns_bit_identical_and_resolved_config_replays(prepared, capsys
     assert main(base + ["--out-dir", str(out2)]) == 0
     blob = (out1 / "model.ckpt").read_bytes()
     assert blob == (out2 / "model.ckpt").read_bytes()
+    # wall-clock seconds live in the timing file, so the epoch log repeats too
+    assert (out1 / "train_log.jsonl").read_bytes() == (out2 / "train_log.jsonl").read_bytes()
+    timing = [json.loads(line) for line in (out1 / "train_timing.jsonl").read_text().splitlines()]
+    assert [t["epoch"] for t in timing] == [0, 1] and all(t["seconds"] >= 0 for t in timing)
 
     # the persisted config alone reproduces the run
     rc = main(["train", "--data", str(data), "--out-dir", str(out3),
@@ -365,6 +434,35 @@ def test_evaluate_corrupt_checkpoint_is_exit_2(trained, capsys):
     ckpt.write_bytes(bytes(raw))
     assert main(["evaluate", "--checkpoint", str(ckpt), "--data", str(data)]) == 2
     assert "checksum mismatch" in capsys.readouterr().err
+
+
+def with_meta(raw: bytes, meta) -> bytes:
+    """A format-2 checkpoint with its meta block replaced, checksum included."""
+    (old_len,) = struct.unpack("<Q", raw[8:16])
+    block = json.dumps(meta).encode("utf-8")
+    block = struct.pack("<Q", len(block)) + block
+    return raw[:8] + block + struct.pack("<I", zlib.crc32(block)) + raw[16 + old_len + 4:]
+
+
+def test_evaluate_checkpoint_with_bad_meta_is_exit_2(trained, capsys):
+    tmp_path, data, ckpt = trained
+    raw = ckpt.read_bytes()
+    _, _, meta = load_checkpoint(str(ckpt))
+    no_config = {k: v for k, v in meta.items() if k != "config"}
+    wider = {**meta, "config": {**meta["config"], "embed_dim": 9}}
+    path = tmp_path / "bad_meta.ckpt"
+    for bad, problem in (
+        ([1, 2], "metadata needs to be a JSON object"),
+        (no_config, "metadata needs config.mode"),
+        ({**meta, "tau": "0.5"}, "metadata needs a finite tau"),
+        (wider, "do not match the shapes in the metadata"),
+    ):
+        path.write_bytes(with_meta(raw, bad))
+        assert main(["evaluate", "--checkpoint", str(path), "--data", str(data)]) == 2
+        assert problem in capsys.readouterr().err
+    # the same meta block rebuilt unchanged still loads
+    path.write_bytes(with_meta(raw, meta))
+    load_checkpoint(str(path))
 
 
 # -- ablate ----------------------------------------------------------------------

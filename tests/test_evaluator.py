@@ -233,9 +233,10 @@ class TestBatchedRanking:
     def test_cancelling_mixture_raises_only_at_inference(self):
         cfg = TrainConfig(embed_dim=2, proxy_count=2, max_len=4, negatives=2, seed=1)
         params = init_model(6, cfg)
-        params.bank.proxies[:] = [[0.5, 0.0], [-0.5, 0.0]]
-        params.bank.normals[:] = [[0.0, 1.0], [0.0, -1.0]]
-        params.selector.w2[:] = 0.0  # equal logits: pi = (1/2, 1/2) cancels both banks
+        named = params.named()
+        named["proxies"][:] = [[0.5, 0.0], [-0.5, 0.0]]
+        named["normals"][:] = [[0.0, 1.0], [0.0, -1.0]]
+        named["sel_w2"][:] = 0.0  # equal logits: pi = (1/2, 1/2) cancels both banks
         inst = PredictionInstance(prefix=(1, 2), target=3, parent_items=(1, 2, 3))
         with pytest.raises(DegenerateProxyError):
             evaluate(params, [inst], "unseen", tau=1.0)

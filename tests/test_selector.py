@@ -8,7 +8,6 @@ from proxyrec.data import PredictionInstance
 from proxyrec.errors import ConfigError, DegenerateProxyError, LengthError
 from proxyrec.selector import (
     AnnealSchedule,
-    SelectorParams,
     assemble_proxy,
     select,
     selection_distribution as batched_distribution,
@@ -34,12 +33,7 @@ def proxy_and_gamma(pi, proxies, strict=True):
 
 
 def encode_logits(items, item_table, sel):
-    leaves = {
-        "items": Tensor(item_table),
-        "sel_w1": Tensor(sel.w1),
-        "sel_w2": Tensor(sel.w2),
-        "sel_pos": Tensor(sel.pos),
-    }
+    leaves = {name: Tensor(arr) for name, arr in {"items": item_table, **sel}.items()}
     return selection_logits([items], leaves).data[0]
 
 
@@ -184,11 +178,11 @@ class TestEncodeLogits:
         item_table = np.array(
             [[0.0, 0.0], [0.2, -0.1], [-0.3, 0.4], [0.5, 0.5]]
         )
-        sel = SelectorParams(
-            w1=np.array([[0.3, -0.2], [0.1, 0.4]]),
-            w2=np.array([[1.0, 0.0, -1.0], [0.5, -0.5, 2.0]]),
-            pos=np.array([[0.01, 0.02], [-0.05, 0.03], [0.07, -0.01]]),
-        )
+        sel = {
+            "sel_w1": np.array([[0.3, -0.2], [0.1, 0.4]]),
+            "sel_w2": np.array([[1.0, 0.0, -1.0], [0.5, -0.5, 2.0]]),
+            "sel_pos": np.array([[0.01, 0.02], [-0.05, 0.03], [0.07, -0.01]]),
+        }
         return item_table, sel
 
     def test_hand_loop_oracle(self):
@@ -198,10 +192,10 @@ class TestEncodeLogits:
         # independent computation, one position at a time
         acc = np.zeros(3)
         for j, it in enumerate(items):
-            x = item_table[it] + sel.pos[j]
-            h = x @ sel.w1
+            x = item_table[it] + sel["sel_pos"][j]
+            h = x @ sel["sel_w1"]
             h = np.where(h > 0, h, 0.1 * h)
-            acc += h @ sel.w2
+            acc += h @ sel["sel_w2"]
         np.testing.assert_allclose(got, acc / len(items), rtol=0, atol=1e-14)
 
     def test_position_changes_logits(self):
@@ -212,7 +206,7 @@ class TestEncodeLogits:
 
     def test_zero_positions_make_order_irrelevant(self):
         item_table, sel = self._tiny()
-        flat = SelectorParams(w1=sel.w1, w2=sel.w2, pos=np.zeros_like(sel.pos))
+        flat = {**sel, "sel_pos": np.zeros_like(sel["sel_pos"])}
         a = encode_logits([1, 2, 3], item_table, flat)
         b = encode_logits([3, 1, 2], item_table, flat)
         np.testing.assert_allclose(a, b, atol=1e-14)

@@ -1,5 +1,6 @@
 """Training loop: objective graph, Adam, constraints, checkpoints, resume."""
 
+import dataclasses
 import importlib
 import json
 import os
@@ -177,15 +178,16 @@ class TestConstraints:
         params = init_model(8, cfg)
         params.items[3] = np.array([3.0, 0.0, 0.0, 0.0])
         params.items[4] = np.array([0.1, 0.0, 0.2, 0.0])
-        params.bank.proxies[0] = np.full(4, 2.0)
-        params.bank.normals[1] = np.array([0.0, 5.0, 0.0, 0.0])
+        named = params.named()
+        named["proxies"][0] = np.full(4, 2.0)
+        named["normals"][1] = np.array([0.0, 5.0, 0.0, 0.0])
         params.user_bias[0] = 9.9
         before_small = params.items[4].copy()
         project_constraints(params)
         assert np.linalg.norm(params.items[3]) == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_array_equal(params.items[4], before_small)  # inside: untouched
-        assert np.linalg.norm(params.bank.proxies[0]) == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(params.bank.normals[1], [0.0, 1.0, 0.0, 0.0], atol=1e-15)
+        assert np.linalg.norm(named["proxies"][0]) == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(named["normals"][1], [0.0, 1.0, 0.0, 0.0], atol=1e-15)
         assert (params.user_bias[0] == 0.0).all()
 
     def test_init_is_deterministic_and_constrained(self):
@@ -197,11 +199,12 @@ class TestConstraints:
         c = init_model(15, small_cfg(seed=10), user_tags=["x"])
         assert any((a.named()[k] != c.named()[k]).any() for k in ("items", "proxies"))
         assert (a.items[0] == 0.0).all()
-        np.testing.assert_allclose(np.linalg.norm(a.bank.normals, axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(np.linalg.norm(a.named()["normals"], axis=1), 1.0, atol=1e-12)
         assert np.linalg.norm(a.items, axis=1).max() <= 1.0 + 1e-12
         assert a.user_bias.shape == (2, cfg.proxy_count)
         assert (a.user_bias == 0.0).all()
-        assert a.encoder.b1.shape == (4,) and (a.encoder.b1 == 0.0).all()
+        b1 = a.named()["enc_b1"]
+        assert b1.shape == (4,) and (b1 == 0.0).all()
 
 
 def tiny_sessions(n=40, n_items=12, seed=0):
@@ -400,7 +403,9 @@ class TestCheckpoint:
         tensors = dict(params.named())
         tensors.update({f"adam.m.{k}": a for k, a in adam.m.items()})
         tensors.update({f"adam.v.{k}": a for k, a in adam.v.items()})
-        meta = json.dumps({"epoch": 1, "tau": 0.5, "adam_step": 3, "user_tags": ["a"]}).encode()
+        # the meta fields the version 1 writer stored
+        meta = json.dumps({"epoch": 1, "tau": 0.5, "adam_step": 3, "item_count": 9,
+                           "user_tags": ["a"], "config": dataclasses.asdict(cfg)}).encode()
         # version 1: no checksums after the meta or the tensor blocks
         raw = [b"PXRC", struct.pack("<IQ", 1, len(meta)), meta, struct.pack("<Q", len(tensors))]
         for name in sorted(tensors):
