@@ -18,6 +18,12 @@ distinct index into a block of just those rows, which is then added into the
 operand's gradient. A batch that gathers a few rows of a large table pays for
 those rows, plus one dense gradient buffer per table.
 
+Variable-length sequences are packed along axis 0 as consecutive runs of
+rows, described by each run's start row. segment_sum (through
+np.add.reduceat) sums every run, repeat_rows copies row i over run i, and
+each is the other's transpose; segment_softmax normalizes a score vector
+within each run, with a hand-written vector-Jacobian product.
+
 Conventions:
   * storage is always float64; inputs are coerced on construction
   * kinked activations take the left derivative at the kink
@@ -356,6 +362,52 @@ class Tensor:
                 a._accum_rows(rows, block.reshape((rows.size,) + row_shape))
 
         return Tensor._make(a.data[idx], (a,), backward, "gather")
+
+    # -- runs of rows --------------------------------------------------------
+    # A run table splits axis 0 into consecutive non-empty runs: run i starts
+    # at row starts[i] (strictly increasing, starts[0] == 0) and ends where
+    # the next one starts, or at the last row.
+
+    def segment_sum(self, starts):
+        """Row sums of every run along axis 0: (R,) + the row shape."""
+        idx = np.asarray(starts)
+        lengths = np.diff(idx, append=self.data.shape[0])
+        a = self
+
+        def backward(g):
+            if a.requires_grad:
+                a._accum(np.repeat(g, lengths, axis=0))
+
+        return Tensor._make(np.add.reduceat(a.data, idx, axis=0), (a,), backward, "segment_sum")
+
+    def repeat_rows(self, lengths):
+        """Row i repeated lengths[i] >= 1 times along axis 0; the transpose of
+        segment_sum over the runs those lengths make."""
+        counts = np.asarray(lengths)
+        starts = np.cumsum(counts) - counts
+        a = self
+
+        def backward(g):
+            if a.requires_grad:
+                a._accum(np.add.reduceat(g, starts, axis=0))
+
+        return Tensor._make(np.repeat(a.data, counts, axis=0), (a,), backward, "repeat_rows")
+
+    def segment_softmax(self, starts):
+        """Softmax of a 1-D vector within each run; each run's max is
+        subtracted first, so a length-1 run is exactly 1.0."""
+        idx = np.asarray(starts)
+        lengths = np.diff(idx, append=self.data.shape[0])
+        a = self
+        shifted = a.data - np.repeat(np.maximum.reduceat(a.data, idx), lengths)
+        e = np.exp(shifted)
+        y = e / np.repeat(np.add.reduceat(e, idx), lengths)
+
+        def backward(g):
+            if a.requires_grad:
+                a._accum(y * (g - np.repeat(np.add.reduceat(g * y, idx), lengths)))
+
+        return Tensor._make(y, (a,), backward, "segment_softmax")
 
     # -- reductions ----------------------------------------------------------
 

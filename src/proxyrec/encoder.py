@@ -13,15 +13,16 @@ biases. There is no causal mask: the prefix is fully observed, every
 position may attend everywhere.
 
 The block has one layer and the head reads one row, so only that row is
-computed: its query against every key, weights (B, L) rather than (B, L, L).
-For the row that is read this is the same math as the full (n, n) block.
+computed: its query against every key of its prefix, n weights rather than
+an (n, n) block. For the row that is read this is the same math as the full
+block.
 
-Prefixes are encoded in batches as recorded autodiff ops, one (B, L) block
-per batch with L the longest prefix. Each prefix is left-padded with item 0,
-so its most recent item sits in column L-1 and takes positional row 0.
-Padded keys get the large finite bias KEY_PAD_BIAS before the softmax: their
-weight underflows to exactly 0, every value stays finite, and a prefix in a
-padded batch attends as it would alone. Training and evaluation share this
+Prefixes are encoded in batches as recorded autodiff ops over one run table
+per batch (selector._packed): the T rows of all prefixes, each prefix a run.
+Each run's most recent row is gathered at starts + lengths - 1, its query is
+repeated over the run's keys, the scores are normalized within the run, and
+the weighted rows are summed per run. No row is padding, so a prefix in a
+batch attends as it would alone. Training and evaluation share this
 path.
 """
 
@@ -30,30 +31,26 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import Tensor
-from .selector import _id_block
-
-KEY_PAD_BIAS = -1e30  # added to the attention score of every padded key
+from .selector import _packed
 
 
-def attention(x: Tensor, last: Tensor, key_bias: np.ndarray, leaves: dict[str, Tensor]) -> Tensor:
-    """Attention weights (B, L) of each block's most recent row last (B, d)
-    over its input rows x (B, L, d); key_bias (B, L) is added to the scores."""
-    b, _, d = x.data.shape
-    q = (last @ leaves["enc_wq"]).relu().reshape(b, 1, d)
+def attention(x: Tensor, last: Tensor, starts, lengths, leaves: dict[str, Tensor]) -> Tensor:
+    """Attention weights (T,) of each run's most recent row last (B, d) over
+    that run's input rows of x (T, d); runs start at starts, lengths long."""
+    d = x.data.shape[1]
+    q = (last @ leaves["enc_wq"]).relu().repeat_rows(lengths)
     k = (x @ leaves["enc_wk"]).relu()
-    return (k.inner(q) / np.sqrt(d) + key_bias).softmax(axis=-1)
+    return (k.inner(q) / np.sqrt(d)).segment_softmax(starts)
 
 
 def encode_prefixes(prefixes, leaves: dict[str, Tensor]) -> Tensor:
     """Short-term interest vectors (B, d), one read off each prefix's most
     recent position."""
     pos = leaves["enc_pos"]
-    ids, real = _id_block(prefixes, pos.data.shape[0], "prefix", left=True)
-    b, n = ids.shape
-    d = leaves["items"].data.shape[1]
-    x = leaves["items"].gather(ids) + pos.gather(np.arange(n - 1, -1, -1))
-    last = x.reshape(b * n, d).gather(np.arange(n - 1, b * n, n))
-    att = attention(x, last, np.where(real, 0.0, KEY_PAD_BIAS), leaves)
-    z = x.inner(att.reshape(b, n, 1), axis=1) + last
+    ids, positions, lengths, starts = _packed(prefixes, pos.data.shape[0], "prefix")
+    x = leaves["items"].gather(ids) + pos.gather(np.repeat(lengths - 1, lengths) - positions)
+    last = x.gather(starts + lengths - 1)
+    att = attention(x, last, starts, lengths, leaves)
+    z = (x * att.reshape(-1, 1)).segment_sum(starts) + last
     h = ((z @ leaves["enc_w1"]) + leaves["enc_b1"]).relu()
     return h @ leaves["enc_w2"] + leaves["enc_b2"]

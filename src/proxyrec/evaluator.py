@@ -6,15 +6,14 @@ actually observed at prediction time), degenerate mixtures raise instead of
 being padded, and on the unseen task every prefix item is masked out of the
 catalog before ranking.
 
-Instances are visited in a stable order of prefix length and scored in
-chunks of at most min(CHUNK_ROWS, CHUNK_ELEMENTS // (N+1)) rows; ranks are
-written back in instance order. One batched forward gives a chunk's query
-points, and scoring.catalog_scores scores the whole catalog against them
-with folded matrix products: the item table gains a ||x||^2 column and a
-ones column once per call, so each chunk costs one matrix product and two
-elementwise passes. The forward pads each chunk to its longest prefix, so
-length order keeps the padding small, and the row cap bounds the padded
-blocks.
+Instances are scored in instance order, in chunks of at most
+min(CHUNK_ROWS, CHUNK_ELEMENTS // (N+1)) rows. One batched forward gives a
+chunk's query points, and scoring.catalog_scores scores the whole catalog
+against them with folded matrix products: the item table gains a ||x||^2
+column and a ones column once per call, so each chunk costs one matrix
+product and two elementwise passes. The forward packs a chunk's prefixes
+into one run table with no padding, so the order of the instances costs
+nothing.
 
 A whole chunk is then ranked with array operations. The products may round
 two equal distances differently, so each row's target score st defines a
@@ -28,8 +27,8 @@ training uses, so identical item rows tie exactly. Then
              + #(band candidates strictly closer, or tied with a smaller id)
 
 so an item tied with the target counts against it only when its id is
-smaller. Each instance is ranked on its own row; which chunk it falls in,
-and how far that chunk is padded, can move its query point by rounding only.
+smaller. Each instance is ranked on its own row; which chunk it falls in
+can move its query point by rounding only.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from .scoring import (
 )
 
 CHUNK_ELEMENTS = 2**20  # catalog scores held per chunk (8 MiB of float64)
-CHUNK_ROWS = 256  # instances per chunk at most; each chunk is one padded block
+CHUNK_ROWS = 256  # instances per chunk at most; bounds a chunk's run table and score rows
 TIE_BAND = 1e-9  # relative to the squared norms entering the expanded distance
 
 
@@ -91,13 +90,12 @@ def compute_ranks(
     table = catalog_table(items)
     x_max = float(table[:, -2].max())
     per_chunk = max(1, min(CHUNK_ROWS, CHUNK_ELEMENTS // items.shape[0]))
-    order = np.argsort([len(i.prefix) for i in instances], kind="stable")
     targets = np.fromiter((i.target for i in instances), dtype=np.int64, count=len(instances))
     ranks = np.empty(len(instances), dtype=np.int64)
     with no_grad():
         for lo in range(0, len(instances), per_chunk):
-            where = order[lo : lo + per_chunk]
-            chunk = [instances[i] for i in where]
+            where = slice(lo, lo + per_chunk)
+            chunk = instances[where]
             bias_rows = params.bias_rows(chunk)
             _, v, q = session_state(chunk, bias_rows, leaves, tau, mode, strict=True)
             qd, vd = q.data, None if v is None else v.data

@@ -14,17 +14,16 @@ toward the origin. The same distribution mixes the bank's normal rows into
 the unit normal of the session's hyperplane.
 
 Every function here works on a batch of instances as recorded autodiff ops,
-so training and evaluation run the same forward. A batch is one (B, L) block
-of item ids, L its longest session. Sessions start at column 0 and are padded
-with item 0 after their end, so column j of every row takes positional row j
-through one shared gather. W2 is linear, so the mean is taken over the
-hidden rows before W2, and over each row's real positions only (a masked sum
-divided by the length): padding changes no logit and gets a zero gradient.
-The encoder shares the block builder. The caller's strict flag
-picks the regime: during training (non-strict) the distribution is computed
-from the whole parent session, including the items after the prediction
-point, and degenerate mixtures are padded with EPS; at inference (strict)
-only the prefix is available and a degenerate mixture raises.
+so training and evaluation run the same forward. A batch is one run table
+(_packed): the T ids of all its sessions in order, one run per session, so
+every (T, d) row is a real item and takes the positional row of its place in
+the session. W2 is linear, so the mean is taken over the hidden rows before
+W2: each run's row sum divided by its length. The encoder shares the run
+table. The caller's strict flag picks the regime: during training
+(non-strict) the distribution is computed from the whole parent session,
+including the items after the prediction point, and degenerate mixtures are
+padded with EPS; at inference (strict) only the prefix is available and a
+degenerate mixture raises.
 """
 
 from __future__ import annotations
@@ -70,36 +69,31 @@ def temperature(epoch: int, sched: AnnealSchedule) -> float:
     return max(t, sched.end)
 
 
-def _id_block(seqs, max_rows: int, what: str, left: bool) -> tuple[np.ndarray, np.ndarray]:
-    """One (B, L) id block for a batch, L its longest sequence, and the
-    (B, L) mask of its real positions.
-
-    Each row holds a sequence in order, padded with item 0 after it or,
-    when left is set, before it.
-    """
+def _packed(seqs, max_rows: int, what: str):
+    """The run table of a batch: the T real ids of all sequences in order,
+    each id's position within its sequence, and the (B,) lengths and run
+    starts (row of each sequence's first id)."""
     lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
     bad = lengths[(lengths < 1) | (lengths > max_rows)]
     if bad.size:
         raise LengthError(
             f"{what} length {bad[0]} outside positional table of {max_rows} rows"
         )
-    cols = np.arange(lengths.max())
-    real = cols >= cols.size - lengths[:, None] if left else cols < lengths[:, None]
-    ids = np.zeros(real.shape, dtype=np.int64)
-    ids[real] = np.fromiter(
-        itertools.chain.from_iterable(seqs), dtype=np.int64, count=int(lengths.sum())
-    )
-    return ids, real
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    total = int(ends[-1])
+    ids = np.fromiter(itertools.chain.from_iterable(seqs), dtype=np.int64, count=total)
+    return ids, np.arange(total) - np.repeat(starts, lengths), lengths, starts
 
 
 def selection_logits(item_lists, leaves: dict[str, Tensor]) -> Tensor:
     """Selection logits (B, K): position-wise FFN scores averaged over each
-    session's real positions (a masked sum divided by the length)."""
+    session's positions (a run sum divided by the length)."""
     pos = leaves["sel_pos"]
-    ids, real = _id_block(item_lists, pos.data.shape[0], "session", left=False)
-    x = leaves["items"].gather(ids) + pos.gather(np.arange(ids.shape[1]))
+    ids, positions, lengths, starts = _packed(item_lists, pos.data.shape[0], "session")
+    x = leaves["items"].gather(ids) + pos.gather(positions)
     h = (x @ leaves["sel_w1"]).leaky_relu(0.1)
-    mean_h = h.inner(real[:, :, None], axis=1) / real.sum(axis=1, keepdims=True)
+    mean_h = h.segment_sum(starts) / lengths[:, None]
     return mean_h @ leaves["sel_w2"]
 
 

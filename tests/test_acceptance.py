@@ -308,6 +308,7 @@ def run_planted(split, mode: str, ratio: float, seed: int) -> float:
     return report.recall[20]
 
 
+@pytest.mark.slow
 def test_c08_full_model_beats_either_component_alone(planted_split):
     t0 = time.monotonic()
     wins = 0
@@ -328,6 +329,7 @@ def test_c08_full_model_beats_either_component_alone(planted_split):
     verdict(8, wins >= 4 and elapsed < 900.0, f"{wins}/5 seeds, {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_c09_known_user_bias_lifts_recall(planted_split):
     wins = 0
     for seed in range(5):

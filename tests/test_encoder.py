@@ -36,9 +36,10 @@ def encode_short_term(items, table, enc):
 
 def attention_weights(items, table, enc):
     """The most recent row's (n,) attention over one prefix's input rows."""
-    x = table[np.asarray(items)] + enc["enc_pos"][len(items) - 1 :: -1]
-    no_bias = np.zeros((1, len(items)))
-    return attention(Tensor(x[None]), Tensor(x[None, -1]), no_bias, leaves_of(table, enc)).data[0]
+    n = len(items)
+    x = table[np.asarray(items)] + enc["enc_pos"][n - 1 :: -1]
+    one_run = (np.array([0]), np.array([n]))
+    return attention(Tensor(x), Tensor(x[-1:]), *one_run, leaves_of(table, enc)).data
 
 
 def test_single_item_attention_is_exactly_one():

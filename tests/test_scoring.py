@@ -225,8 +225,8 @@ class TestScoreCatalog:
 class TestPaddedBatch:
     @pytest.mark.parametrize("strict", [True, False], ids=["strict", "non-strict"])
     def test_mixed_lengths_match_each_instance_alone(self, strict):
-        # one padded (B, L) block must give every instance what it gets alone:
-        # padding changes no logit, no attention weight, no short-term vector
+        # one packed run table must give every instance what it gets alone:
+        # no run reads another's rows for its logits, attention or short-term vector
         cfg = TrainConfig(embed_dim=6, proxy_count=5, max_len=9, seed=4)
         params = init_model(30, cfg, user_tags=["u1"])
         rng = np.random.default_rng(8)

@@ -8,6 +8,7 @@ from proxyrec.data import PredictionInstance
 from proxyrec.errors import ConfigError, DegenerateProxyError, LengthError
 from proxyrec.selector import (
     AnnealSchedule,
+    _packed,
     assemble_proxy,
     select,
     selection_distribution as batched_distribution,
@@ -217,6 +218,16 @@ class TestEncodeLogits:
             encode_logits([], item_table, sel)
         with pytest.raises(LengthError):
             encode_logits([1, 2, 3, 1], item_table, sel)  # pos has 3 rows
+
+
+def test_run_table_holds_only_real_rows():
+    ids, positions, lengths, starts = _packed([(5, 6, 7), (9,), (2, 4)], 3, "session")
+    np.testing.assert_array_equal(ids, [5, 6, 7, 9, 2, 4])
+    np.testing.assert_array_equal(positions, [0, 1, 2, 0, 0, 1])
+    np.testing.assert_array_equal(lengths, [3, 1, 2])
+    np.testing.assert_array_equal(starts, [0, 3, 4])
+    with pytest.raises(LengthError, match="session length 4"):
+        _packed([(1,), (1, 2, 3, 4)], 3, "session")
 
 
 class TestSelectionPaths:
