@@ -9,7 +9,7 @@ ranking loss with distance and orthogonality regularizers, driven by a
 hand-rolled reverse-mode autodiff engine (float64 throughout).
 """
 
-from .autodiff import Tensor, finite_difference_check, no_grad
+from .autodiff import Tensor, no_grad
 from .data import FilterConfig, Session, SessionSplit, chronological_split
 from .errors import (
     CheckpointError,

@@ -28,41 +28,31 @@ Conventions:
   * storage is always float64; inputs are coerced on construction
   * kinked activations take the left derivative at the kink
     (relu'(0) = 0, leaky_relu'(0) = slope, abs'(0) = 0)
-  * broadcasting follows numpy; gradients are summed back onto the
-    broadcast operand's own shape
+  * elementwise ops broadcast as numpy does; gradients are summed back onto
+    the broadcast operand's own shape
+  * matmul takes the two shapes the model records, (n, k) @ (k, m) and
+    (n, k) @ (k,); sum() adds every element; l2norm, inner, sq_dist and
+    softmax reduce the last axis
 
-finite_difference_check() compares analytic gradients against central
-differences, skipping coordinates whose perturbation lands on or crosses an
-activation kink (those points have no two-sided derivative to agree with).
+When the module-level kink_hook is set, relu, leaky_relu and abs call it with
+their pre-activation array. A finite-difference checker uses it to skip
+coordinates whose perturbation lands on or crosses a kink, where there is no
+two-sided derivative to agree with.
 """
 
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GradientError, NumericError, ShapeError
+from .errors import GradientError, ShapeError
 
-__all__ = [
-    "Tensor",
-    "no_grad",
-    "set_debug",
-    "KinkRecorder",
-    "FdReport",
-    "finite_difference_check",
-]
+__all__ = ["Tensor", "no_grad"]
 
 _grad_enabled = True
-_debug_checks = False
-_kink_recorder: "KinkRecorder | None" = None
-
-
-def set_debug(on: bool) -> None:
-    """Toggle per-op finiteness checks (NaN/Inf raise NumericError)."""
-    global _debug_checks
-    _debug_checks = bool(on)
+# called with the pre-activation array of every relu, leaky_relu and abs
+kink_hook = None
 
 
 @contextlib.contextmanager
@@ -75,41 +65,6 @@ def no_grad():
         yield
     finally:
         _grad_enabled = saved
-
-
-class KinkRecorder:
-    """Collects pre-activation arrays from kinked ops (relu, leaky_relu, abs).
-
-    Used as a context manager around a forward evaluation. Two evaluations of
-    the same deterministic graph produce aligned lists, which lets the
-    finite-difference checker detect a kink sitting between or near the two
-    perturbed points.
-    """
-
-    def __init__(self):
-        self.preacts: list[np.ndarray] = []
-
-    def __enter__(self):
-        global _kink_recorder
-        if _kink_recorder is not None:
-            raise RuntimeError("nested KinkRecorder")
-        _kink_recorder = self
-        return self
-
-    def __exit__(self, *exc):
-        global _kink_recorder
-        _kink_recorder = None
-        return False
-
-    def flat(self) -> np.ndarray:
-        if not self.preacts:
-            return np.empty(0)
-        return np.concatenate([a.ravel() for a in self.preacts])
-
-
-def _record_kink(arr: np.ndarray) -> None:
-    if _kink_recorder is not None:
-        _kink_recorder.preacts.append(np.array(arr, copy=True))
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -125,23 +80,9 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-def _axis_tuple(axis, ndim):
-    if axis is None:
-        return tuple(range(ndim))
-    if isinstance(axis, int):
-        axis = (axis,)
-    return tuple(a % ndim for a in axis)
-
-
-def _expand_like(grad, src_shape, axis, keepdims):
-    """Re-inflate a reduced gradient so it broadcasts against src_shape."""
-    if keepdims:
-        return np.broadcast_to(grad, src_shape)
-    axes = _axis_tuple(axis, len(src_shape))
-    g = np.asarray(grad)
-    for a in sorted(axes):
-        g = np.expand_dims(g, a)
-    return np.broadcast_to(g, src_shape)
+def _last_axis(grad: np.ndarray, shape: tuple[int, ...], keepdims: bool = False) -> np.ndarray:
+    """Broadcast a gradient reduced over the last axis back over shape."""
+    return np.broadcast_to(grad if keepdims else grad[..., None], shape)
 
 
 class Tensor:
@@ -157,11 +98,9 @@ class Tensor:
     # -- construction helpers -------------------------------------------
 
     @staticmethod
-    def _make(data: np.ndarray, prev: tuple["Tensor", ...], backward, op: str) -> "Tensor":
+    def _make(data: np.ndarray, prev: tuple["Tensor", ...], backward) -> "Tensor":
         """The output of one op; backward(g) routes the output gradient g to
         prev and is kept only while recording."""
-        if _debug_checks and not np.all(np.isfinite(data)):
-            raise NumericError(f"non-finite values out of op '{op}'")
         out = Tensor(data)
         if _grad_enabled and any(p.requires_grad for p in prev):
             out.requires_grad = True
@@ -216,7 +155,7 @@ class Tensor:
             if b.requires_grad:
                 b._accum(_unbroadcast(g, b.data.shape))
 
-        return Tensor._make(data, (a, b), backward, "add")
+        return Tensor._make(data, (a, b), backward)
 
     __radd__ = __add__
 
@@ -227,7 +166,7 @@ class Tensor:
             if a.requires_grad:
                 a._accum(-g)
 
-        return Tensor._make(-a.data, (a,), backward, "neg")
+        return Tensor._make(-a.data, (a,), backward)
 
     def __sub__(self, other):
         other = Tensor._coerce(other)
@@ -243,7 +182,7 @@ class Tensor:
             if b.requires_grad:
                 b._accum(_unbroadcast(-g, b.data.shape))
 
-        return Tensor._make(data, (a, b), backward, "sub")
+        return Tensor._make(data, (a, b), backward)
 
     def __mul__(self, other):
         other = Tensor._coerce(other)
@@ -259,7 +198,7 @@ class Tensor:
             if b.requires_grad:
                 b._accum(_unbroadcast(g * a.data, b.data.shape))
 
-        return Tensor._make(data, (a, b), backward, "mul")
+        return Tensor._make(data, (a, b), backward)
 
     __rmul__ = __mul__
 
@@ -277,7 +216,7 @@ class Tensor:
             if b.requires_grad:
                 b._accum(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
-        return Tensor._make(data, (a, b), backward, "div")
+        return Tensor._make(data, (a, b), backward)
 
     # -- linear algebra ---------------------------------------------------
 
@@ -285,59 +224,32 @@ class Tensor:
         other = Tensor._coerce(other)
         a, b = self, other
         ad, bd = a.data, b.data
-        if ad.ndim == 0 or bd.ndim == 0:
-            raise ShapeError(f"matmul: operands must have ndim >= 1, got {ad.shape} and {bd.shape}")
-        if ad.ndim == 1 and bd.ndim == 1:
-            if ad.shape != bd.shape:
-                raise ShapeError(f"matmul: shapes {ad.shape} and {bd.shape} are incompatible")
-
-            def backward_dot(g):
-                if a.requires_grad:
-                    a._accum(g * bd)
-                if b.requires_grad:
-                    b._accum(g * ad)
-
-            return Tensor._make(np.dot(ad, bd), (a, b), backward_dot, "matmul")
-
-        inner_a = ad.shape[-1]
-        inner_b = bd.shape[0] if bd.ndim == 1 else bd.shape[-2]
-        if inner_a != inner_b:
-            raise ShapeError(f"matmul: shapes {ad.shape} and {bd.shape} are incompatible")
-        try:
-            data = np.matmul(ad, bd)
-        except ValueError:
-            raise ShapeError(f"matmul: shapes {ad.shape} and {bd.shape} do not broadcast")
+        if ad.ndim != 2 or bd.ndim not in (1, 2) or ad.shape[1] != bd.shape[0]:
+            raise ShapeError(
+                f"matmul: shapes {ad.shape} and {bd.shape} are not (n, k) @ (k, m) or (n, k) @ (k,)"
+            )
 
         def backward(g):
-            # promote 1-D operands the way numpy's matmul does, then reduce back
-            G = g
-            if ad.ndim == 1:
-                G = np.expand_dims(G, -2)
-            if bd.ndim == 1:
-                G = np.expand_dims(G, -1)
-            A = ad[None, :] if ad.ndim == 1 else ad
-            B = bd[:, None] if bd.ndim == 1 else bd
+            # a vector operand b is the column (k, 1), and g the column (n, 1)
+            G = g if bd.ndim == 2 else g[:, None]
+            B = bd if bd.ndim == 2 else bd[:, None]
             if a.requires_grad:
-                ga = _unbroadcast(np.matmul(G, np.swapaxes(B, -1, -2)), A.shape)
-                a._accum(ga.reshape(ad.shape))
+                a._accum(np.matmul(G, B.T))
             if b.requires_grad:
-                gb = _unbroadcast(np.matmul(np.swapaxes(A, -1, -2), G), B.shape)
-                b._accum(gb.reshape(bd.shape))
+                b._accum(np.matmul(ad.T, G).reshape(bd.shape))
 
-        return Tensor._make(data, (a, b), backward, "matmul")
+        return Tensor._make(np.matmul(ad, bd), (a, b), backward)
 
     # -- shape ops ---------------------------------------------------------
 
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         a = self
 
         def backward(g):
             if a.requires_grad:
                 a._accum(g.reshape(a.data.shape))
 
-        return Tensor._make(a.data.reshape(shape), (a,), backward, "reshape")
+        return Tensor._make(a.data.reshape(shape), (a,), backward)
 
     def gather(self, index):
         """Select rows along axis 0 with an integer index array of any shape.
@@ -361,7 +273,7 @@ class Tensor:
                 block = np.bincount(slots, weights=g.reshape(-1), minlength=rows.size * width)
                 a._accum_rows(rows, block.reshape((rows.size,) + row_shape))
 
-        return Tensor._make(a.data[idx], (a,), backward, "gather")
+        return Tensor._make(a.data[idx], (a,), backward)
 
     # -- runs of rows --------------------------------------------------------
     # A run table splits axis 0 into consecutive non-empty runs: run i starts
@@ -378,7 +290,7 @@ class Tensor:
             if a.requires_grad:
                 a._accum(np.repeat(g, lengths, axis=0))
 
-        return Tensor._make(np.add.reduceat(a.data, idx, axis=0), (a,), backward, "segment_sum")
+        return Tensor._make(np.add.reduceat(a.data, idx, axis=0), (a,), backward)
 
     def repeat_rows(self, lengths):
         """Row i repeated lengths[i] >= 1 times along axis 0; the transpose of
@@ -391,7 +303,7 @@ class Tensor:
             if a.requires_grad:
                 a._accum(np.add.reduceat(g, starts, axis=0))
 
-        return Tensor._make(np.repeat(a.data, counts, axis=0), (a,), backward, "repeat_rows")
+        return Tensor._make(np.repeat(a.data, counts, axis=0), (a,), backward)
 
     def segment_softmax(self, starts):
         """Softmax of a 1-D vector within each run; each run's max is
@@ -407,118 +319,119 @@ class Tensor:
             if a.requires_grad:
                 a._accum(y * (g - np.repeat(np.add.reduceat(g * y, idx), lengths)))
 
-        return Tensor._make(y, (a,), backward, "segment_softmax")
+        return Tensor._make(y, (a,), backward)
 
     # -- reductions ----------------------------------------------------------
 
-    def sum(self, axis=None, keepdims: bool = False):
+    def sum(self):
+        """Sum of every element."""
         a = self
 
         def backward(g):
             if a.requires_grad:
-                a._accum(_expand_like(g, a.data.shape, axis, keepdims))
+                a._accum(np.broadcast_to(g, a.data.shape))
 
-        return Tensor._make(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward, "sum")
+        return Tensor._make(a.data.sum(), (a,), backward)
 
-    def l2norm(self, axis=None, keepdims: bool = False):
-        """Euclidean norm over the given axis (all axes when None)."""
+    def l2norm(self, keepdims: bool = False):
+        """Euclidean norm over the last axis."""
         a = self
-        sq = (a.data * a.data).sum(axis=axis, keepdims=keepdims)
-        norm = np.sqrt(sq)
+        norm = np.sqrt((a.data * a.data).sum(axis=-1, keepdims=keepdims))
 
         def backward(g):
             if a.requires_grad:
-                n = _expand_like(norm, a.data.shape, axis, keepdims)
-                g = _expand_like(g, a.data.shape, axis, keepdims)
+                shape = a.data.shape
+                n = _last_axis(norm, shape, keepdims)
                 # guard the 0/0 cusp; the true subgradient there is taken as 0
-                a._accum(g * a.data / np.maximum(n, 1e-300))
+                a._accum(_last_axis(g, shape, keepdims) * a.data / np.maximum(n, 1e-300))
 
-        return Tensor._make(norm, (a,), backward, "l2norm")
+        return Tensor._make(norm, (a,), backward)
 
-    def inner(self, other, axis: int = -1, keepdims: bool = False):
-        """Inner product sum(a * b) over one axis, with broadcasting."""
+    def inner(self, other, keepdims: bool = False):
+        """Inner product sum(a * b) over the last axis, with broadcasting."""
         other = Tensor._coerce(other)
         a, b = self, other
         try:
             prod = a.data * b.data
         except ValueError:
             raise ShapeError(f"inner: shapes {a.data.shape} and {b.data.shape} do not broadcast")
-        data = prod.sum(axis=axis, keepdims=keepdims)
         shape = prod.shape
 
         def backward(g):
-            g = _expand_like(g, shape, axis, keepdims)
+            g = _last_axis(g, shape, keepdims)
             if a.requires_grad:
                 a._accum(_unbroadcast(g * b.data, a.data.shape))
             if b.requires_grad:
                 b._accum(_unbroadcast(g * a.data, b.data.shape))
 
-        return Tensor._make(data, (a, b), backward, "inner")
+        return Tensor._make(prod.sum(axis=-1, keepdims=keepdims), (a, b), backward)
 
-    def sq_dist(self, other, axis: int = -1):
-        """Squared Euclidean distance sum((a-b)^2) over one axis."""
+    def sq_dist(self, other):
+        """Squared Euclidean distance sum((a-b)^2) over the last axis."""
         other = Tensor._coerce(other)
         a, b = self, other
         try:
             diff = a.data - b.data
         except ValueError:
             raise ShapeError(f"sq_dist: shapes {a.data.shape} and {b.data.shape} do not broadcast")
-        data = (diff * diff).sum(axis=axis)
 
         def backward(g):
-            g = 2.0 * diff * _expand_like(g, diff.shape, axis, False)
+            g = 2.0 * diff * _last_axis(g, diff.shape)
             if a.requires_grad:
                 a._accum(_unbroadcast(g, a.data.shape))
             if b.requires_grad:
                 b._accum(_unbroadcast(-g, b.data.shape))
 
-        return Tensor._make(data, (a, b), backward, "sq_dist")
+        return Tensor._make((diff * diff).sum(axis=-1), (a, b), backward)
 
     # -- nonlinearities ---------------------------------------------------
 
     def relu(self):
         a = self
-        _record_kink(a.data)
+        if kink_hook is not None:
+            kink_hook(a.data)
 
         def backward(g):
             if a.requires_grad:
                 a._accum(g * (a.data > 0.0))
 
-        return Tensor._make(np.maximum(a.data, 0.0), (a,), backward, "relu")
+        return Tensor._make(np.maximum(a.data, 0.0), (a,), backward)
 
     def leaky_relu(self, slope: float = 0.1):
         a = self
-        _record_kink(a.data)
+        if kink_hook is not None:
+            kink_hook(a.data)
 
         def backward(g):
             if a.requires_grad:
                 a._accum(g * np.where(a.data > 0.0, 1.0, slope))
 
         data = np.where(a.data > 0.0, a.data, slope * a.data)
-        return Tensor._make(data, (a,), backward, "leaky_relu")
+        return Tensor._make(data, (a,), backward)
 
     def abs(self):
         a = self
-        _record_kink(a.data)
+        if kink_hook is not None:
+            kink_hook(a.data)
 
         def backward(g):
             if a.requires_grad:
                 a._accum(g * np.sign(a.data))
 
-        return Tensor._make(np.abs(a.data), (a,), backward, "abs")
+        return Tensor._make(np.abs(a.data), (a,), backward)
 
-    def softmax(self, axis: int = -1):
-        """Numerically stable softmax along one axis (max is subtracted first)."""
+    def softmax(self):
+        """Numerically stable softmax along the last axis (max is subtracted first)."""
         a = self
-        shifted = a.data - a.data.max(axis=axis, keepdims=True)
+        shifted = a.data - a.data.max(axis=-1, keepdims=True)
         e = np.exp(shifted)
-        y = e / e.sum(axis=axis, keepdims=True)
+        y = e / e.sum(axis=-1, keepdims=True)
 
         def backward(g):
             if a.requires_grad:
-                a._accum(y * (g - (g * y).sum(axis=axis, keepdims=True)))
+                a._accum(y * (g - (g * y).sum(axis=-1, keepdims=True)))
 
-        return Tensor._make(y, (a,), backward, "softmax")
+        return Tensor._make(y, (a,), backward)
 
     # -- autodiff driver -----------------------------------------------------
 
@@ -554,88 +467,3 @@ class Tensor:
             if node._prev:
                 node._backward = None
                 node._prev = ()
-
-
-# -- finite-difference verification -----------------------------------------
-
-
-@dataclass
-class FdReport:
-    """Outcome of one finite-difference sweep over named parameters."""
-
-    max_rel_err: float
-    per_tensor: dict[str, float] = field(default_factory=dict)
-    checked: int = 0
-    skipped: int = 0
-
-    def ok(self, tol: float) -> bool:
-        return self.max_rel_err < tol
-
-
-def _rel_err(a: float, b: float) -> float:
-    # floor near the certification limit of central differences on an O(1)
-    # objective: below ~1e-6 total magnitude the quotient is cancellation
-    # noise in f(x+h)-f(x-h), not gradient signal
-    return abs(a - b) / max(1e-6, abs(a) + abs(b))
-
-
-def finite_difference_check(
-    objective,
-    leaves: dict[str, Tensor],
-    *,
-    h: float = 1e-5,
-    max_coords: int = 1000,
-    kink_margin: float = 1e-6,
-    rng: np.random.Generator | None = None,
-) -> FdReport:
-    """Compare analytic gradients of objective() against central differences.
-
-    objective is a zero-argument callable returning a scalar Tensor built from
-    the given leaves; it is re-evaluated with individual coordinates nudged by
-    +/- h. Tensors larger than max_coords get a random coordinate subsample.
-    A coordinate is skipped when either perturbed evaluation drives some
-    kinked pre-activation within kink_margin of zero, or flips its sign
-    between the two evaluations: the two-sided difference quotient is not
-    meaningful across a kink.
-    """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    for t in leaves.values():
-        t.zero_grad()
-    out = objective()
-    out.backward()
-    grads = {}
-    for name, t in leaves.items():
-        grads[name] = np.zeros_like(t.data) if t.grad is None else t.grad.copy()
-
-    report = FdReport(max_rel_err=0.0)
-    for name, t in leaves.items():
-        size = t.data.size
-        if size > max_coords:
-            coords = rng.choice(size, size=max_coords, replace=False)
-        else:
-            coords = np.arange(size)
-        worst = 0.0
-        for c in coords:
-            saved = t.data.flat[c]
-            t.data.flat[c] = saved + h
-            with no_grad(), KinkRecorder() as rec_plus:
-                f_plus = float(objective().data)
-            t.data.flat[c] = saved - h
-            with no_grad(), KinkRecorder() as rec_minus:
-                f_minus = float(objective().data)
-            t.data.flat[c] = saved
-            pre_p = rec_plus.flat()
-            pre_m = rec_minus.flat()
-            near = (np.abs(pre_p) < kink_margin).any() or (np.abs(pre_m) < kink_margin).any()
-            crossed = pre_p.size == pre_m.size and (np.sign(pre_p) != np.sign(pre_m)).any()
-            if near or crossed:
-                report.skipped += 1
-                continue
-            fd = (f_plus - f_minus) / (2.0 * h)
-            err = _rel_err(float(grads[name].flat[c]), fd)
-            worst = max(worst, err)
-            report.checked += 1
-        report.per_tensor[name] = worst
-        report.max_rel_err = max(report.max_rel_err, worst)
-    return report

@@ -48,10 +48,6 @@ class Session:
     start_ts: int
     user_tag: str | None = None
 
-    @property
-    def start_day(self) -> int:
-        return self.start_ts // SECONDS_PER_DAY
-
     def __len__(self) -> int:
         return len(self.items)
 
@@ -72,14 +68,6 @@ class SessionSplit:
     test: list[Session]
     item_count: int
     id_map: dict[int, int] | None = None  # pre-split dense id -> final id
-
-    @property
-    def item_vocab(self) -> set[int]:
-        return {i for s in self.train for i in s.items}
-
-    @property
-    def user_vocab(self) -> set[str]:
-        return {s.user_tag for s in self.train if s.user_tag is not None}
 
     def all_sessions(self) -> list[Session]:
         return self.train + self.valid + self.test

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, no_grad
-from .data import PredictionInstance
+from .data import TASKS, PredictionInstance
 from .errors import ConfigError, MetricError, NumericError
 from .scoring import (
     SCORING_MODES,
@@ -85,6 +85,8 @@ def compute_ranks(
     """Rank of every instance's target, in instance order."""
     if mode not in SCORING_MODES:
         raise ConfigError(f"unknown scoring mode {mode!r}; expected one of {SCORING_MODES}")
+    if task not in TASKS:
+        raise ConfigError(f"unknown task {task!r}; expected one of {TASKS}")
     items = params.items
     leaves = {name: Tensor(arr) for name, arr in params.named().items()}
     table = catalog_table(items)

@@ -29,6 +29,7 @@ degenerate mixture raises.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,9 +48,9 @@ class AnnealSchedule:
 
     def __post_init__(self):
         # start == end is allowed: it pins the temperature (no annealing)
-        if not (self.start >= self.end > 0.0):
+        if not (math.inf > self.start >= self.end > 0.0):
             raise ConfigError(
-                f"anneal schedule needs start >= end > 0, got {self.start}, {self.end}"
+                f"anneal schedule needs finite start >= end > 0, got {self.start}, {self.end}"
             )
         if self.epochs < 1:
             raise ConfigError(f"anneal epochs must be >= 1, got {self.epochs}")
@@ -102,7 +103,7 @@ def selection_distribution(logits: Tensor, tau: float, bias: Tensor | None = Non
     if tau <= 0.0:
         raise ConfigError(f"temperature must be positive, got {tau}")
     z = logits if bias is None else logits + bias
-    return (z / tau).softmax(axis=-1)
+    return (z / tau).softmax()
 
 
 def _divide(num: Tensor, norm: Tensor, strict: bool, what: str) -> Tensor:
@@ -119,15 +120,15 @@ def assemble_proxy(pi: Tensor, proxies: Tensor, strict: bool) -> Tensor:
     """Rows gamma * (pi @ proxies), with gamma chosen so that each row's norm
     equals the pi-weighted sum of bank row norms."""
     combined = pi @ proxies
-    mixed_norm = pi @ proxies.l2norm(axis=-1)
-    gamma = _divide(mixed_norm, combined.l2norm(axis=-1), strict, "proxy combination")
+    mixed_norm = pi @ proxies.l2norm()
+    gamma = _divide(mixed_norm, combined.l2norm(), strict, "proxy combination")
     return gamma.reshape(pi.data.shape[0], 1) * combined
 
 
 def assemble_normal(pi: Tensor, normals: Tensor, strict: bool) -> Tensor:
     """Unit hyperplane normals: the pi-mixture of normal rows, normalized."""
     w = pi @ normals
-    return _divide(w, w.l2norm(axis=-1, keepdims=True), strict, "hyperplane normal")
+    return _divide(w, w.l2norm(keepdims=True), strict, "hyperplane normal")
 
 
 def select(instances, bias_rows, leaves: dict[str, Tensor], tau: float, strict: bool):

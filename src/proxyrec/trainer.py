@@ -83,8 +83,8 @@ class TrainConfig:
         out = []
         if values["mode"] not in SCORING_MODES:
             out.append(f"unknown mode {values['mode']!r}; expected one of {SCORING_MODES}")
-        if values["task"] not in ("repeat", "unseen"):
-            out.append(f"unknown task {values['task']!r}")
+        if values["task"] not in TASKS:
+            out.append(f"unknown task {values['task']!r}; expected one of {TASKS}")
         for name in ("embed_dim", "proxy_count", "max_len", "batch_size", "epochs", "negatives",
                      "patience"):
             if values[name] < 1:
@@ -307,7 +307,7 @@ def objective(
     if cfg.lambda_dist != 0.0:
         J = J + cfg.lambda_dist * d_pos.sum()
     if p is not None:
-        orthog = (v.inner(p).abs() / (p.l2norm(axis=-1) + EPS)).sum()
+        orthog = (v.inner(p).abs() / (p.l2norm() + EPS)).sum()
         parts["reg_orthog"] = float(orthog.data)
         if cfg.lambda_orthog != 0.0:
             J = J + cfg.lambda_orthog * orthog

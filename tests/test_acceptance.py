@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from proxyrec.autodiff import Tensor, finite_difference_check
+from proxyrec.autodiff import Tensor
 from proxyrec.cli import main
 from proxyrec.data import (
     PredictionInstance,
@@ -43,6 +43,7 @@ from proxyrec.trainer import (
     save_checkpoint,
     train_epoch,
 )
+from gradcheck import finite_difference_check
 from reference import rank_of_target
 
 

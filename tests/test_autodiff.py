@@ -6,14 +6,16 @@ are asserted directly.
 """
 
 import gc
+import re
 import weakref
 
 import numpy as np
 import pytest
 
+from gradcheck import KinkRecorder, finite_difference_check
 from proxyrec import autodiff as ad
-from proxyrec.autodiff import KinkRecorder, Tensor, finite_difference_check, no_grad
-from proxyrec.errors import GradientError, NumericError, ShapeError
+from proxyrec.autodiff import Tensor, no_grad
+from proxyrec.errors import GradientError, ShapeError
 
 RNG = np.random.default_rng(42)
 
@@ -94,16 +96,7 @@ class TestElementwise:
 class TestLinalg:
     @pytest.mark.parametrize(
         "sa,sb",
-        [
-            ((3, 4), (4, 5)),
-            ((6, 3, 4), (4, 5)),
-            ((6, 3, 4), (6, 4, 5)),
-            ((2, 1, 3, 4), (5, 4, 2)),
-            ((4,), (4, 5)),
-            ((3, 4), (4,)),
-            ((6, 3, 4), (4,)),
-            ((4,), (4,)),
-        ],
+        [((3, 4), (4, 5)), ((3, 4), (4,))],
     )
     def test_matmul_grads(self, sa, sb):
         a = RNG.normal(size=sa)
@@ -120,6 +113,22 @@ class TestLinalg:
     def test_matmul_shape_error_names_both(self):
         with pytest.raises(ShapeError, match=r"\(3, 4\).*\(3, 5\)"):
             Tensor(np.ones((3, 4))) @ Tensor(np.ones((3, 5)))
+
+    @pytest.mark.parametrize(
+        "sa,sb",
+        [
+            ((6, 3, 4), (4, 5)),
+            ((6, 3, 4), (6, 4, 5)),
+            ((2, 1, 3, 4), (5, 4, 2)),
+            ((4,), (4, 5)),
+            ((6, 3, 4), (4,)),
+            ((4,), (4,)),
+        ],
+    )
+    def test_matmul_rejects_other_shapes(self, sa, sb):
+        # stacked operands and a vector on the left are not model shapes
+        with pytest.raises(ShapeError, match=rf"{re.escape(str(sa))}.*{re.escape(str(sb))}"):
+            Tensor(np.ones(sa)) @ Tensor(np.ones(sb))
 
     def test_gather_scatter_adds_for_repeats(self):
         table = Tensor(RNG.normal(size=(6, 3)), requires_grad=True)
@@ -160,20 +169,22 @@ class TestLinalg:
 
 
 class TestReductions:
-    @pytest.mark.parametrize("axis,keepdims", [(None, False), (0, False), (1, True), (-1, False)])
-    def test_sum_mean_grads(self, axis, keepdims):
+    def test_sum_grad(self):
         x = RNG.normal(size=(3, 5))
         t = Tensor(x.copy(), requires_grad=True)
-        out = t.sum(axis=axis, keepdims=keepdims)
-        (out.sum() if out.data.size > 1 else out).backward()
+        out = t.sum()
+        assert out.data.shape == ()
+        out.backward()
         np.testing.assert_allclose(t.grad, np.ones_like(x))
 
     def test_l2norm_grads(self):
         x = RNG.normal(size=(4, 3)) + 0.1
-        check_unary(lambda t: t.l2norm(), x, lambda a: np.linalg.norm(a))
+        check_unary(lambda t: t.l2norm(), x, lambda a: np.linalg.norm(a, axis=-1))
+        w = np.arange(1.0, 5.0).reshape(4, 1)
         t = Tensor(x.copy(), requires_grad=True)
-        t.l2norm(axis=-1).sum().backward()
-        want = numeric_grad(lambda a: float(np.linalg.norm(a, axis=-1).sum()), x.copy())
+        (t.l2norm(keepdims=True) * Tensor(w)).sum().backward()
+        f = lambda a: float((np.linalg.norm(a, axis=-1, keepdims=True) * w).sum())
+        want = numeric_grad(f, x.copy())
         np.testing.assert_allclose(t.grad, want, rtol=1e-6, atol=1e-8)
 
     def test_l2norm_at_zero_is_guarded(self):
@@ -202,7 +213,7 @@ class TestReductions:
 class TestSoftmax:
     def test_rows_sum_to_one(self):
         x = RNG.normal(size=(10, 7)) * 5
-        y = Tensor(x).softmax(axis=-1).data
+        y = Tensor(x).softmax().data
         np.testing.assert_allclose(y.sum(-1), np.ones(10), atol=1e-12)
         assert (y > 0).all()
 
@@ -221,7 +232,7 @@ class TestSoftmax:
         x = RNG.normal(size=(3, 5))
         w = RNG.normal(size=(3, 5))
         t = Tensor(x.copy(), requires_grad=True)
-        (t.softmax(axis=-1) * Tensor(w)).sum().backward()
+        (t.softmax() * Tensor(w)).sum().backward()
         want = numeric_grad(
             lambda a: float((np.exp(a - a.max(-1, keepdims=True))
                              / np.exp(a - a.max(-1, keepdims=True)).sum(-1, keepdims=True) * w).sum()),
@@ -374,14 +385,6 @@ class TestGraphStructure:
             out = (t * 2).sum()
         assert not out.requires_grad and out._prev == ()
 
-    def test_debug_mode_catches_nonfinite(self):
-        ad.set_debug(True)
-        try:
-            with np.errstate(invalid="ignore"), pytest.raises(NumericError):
-                Tensor(np.array([1.0, 0.0])) / Tensor(np.array([1.0, 0.0]))
-        finally:
-            ad.set_debug(False)
-
 
 class TestFiniteDifferenceCheck:
     def test_passes_on_smooth_composite(self):
@@ -392,8 +395,8 @@ class TestFiniteDifferenceCheck:
         }
 
         def objective():
-            h = (leaves["x"] @ leaves["w"]).softmax(axis=-1)
-            return (h * h).sum() + leaves["w"].l2norm()
+            h = (leaves["x"] @ leaves["w"]).softmax()
+            return (h * h).sum() + leaves["w"].l2norm().sum()
 
         report = finite_difference_check(objective, leaves)
         assert report.ok(1e-4)
@@ -416,7 +419,7 @@ class TestFiniteDifferenceCheck:
             def backward(g):
                 x._accum(g * 2.0)  # claims slope 2, real slope 3
 
-            return Tensor._make(x.data * 3.0, (x,), backward, "bad").sum()
+            return Tensor._make(x.data * 3.0, (x,), backward).sum()
 
         report = finite_difference_check(objective, {"x": x})
         assert not report.ok(1e-4)
@@ -435,3 +438,10 @@ class TestFiniteDifferenceCheck:
             Tensor(np.array([-1.0, 2.0])).relu()
             Tensor(np.array([[3.0]])).abs()
         np.testing.assert_allclose(rec.flat(), [-1.0, 2.0, 3.0])
+        assert ad.kink_hook is None
+
+    def test_kink_recorder_clears_the_hook_when_its_body_raises(self):
+        with pytest.raises(ValueError), KinkRecorder():
+            assert ad.kink_hook is not None
+            raise ValueError("inside the recorder")
+        assert ad.kink_hook is None

@@ -326,6 +326,13 @@ def test_train_rejects_bad_config_with_exit_1(prepared, capsys):
     for field in ("anneal_start", "margin", "lambda_dist", "patience"):
         assert field in err
 
+    # an infinite start fails before training, not as a nan loss in epoch 1
+    rc = main(["train", "--data", str(data), "--out-dir", str(tmp_path / "w"),
+               "--set", "anneal_start=inf", "--set", "epochs=3"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "anneal_start" in err and not (tmp_path / "w" / "train_log.jsonl").exists()
+
     # the evaluation thread pool and its key are gone
     gone = tmp_path / "threads.cfg"
     gone.write_text("threads = 2\n", encoding="utf-8")

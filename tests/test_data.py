@@ -109,7 +109,7 @@ class TestSessionBuilding:
         ]
         sessions = build_sessions(recs, self.cfg())
         assert [s.items for s in sessions] == [(1, 2), (3,)]
-        assert sessions[0].start_day == 0 and sessions[1].start_day == 1
+        assert sessions[0].start_ts // DAY == 0 and sessions[1].start_ts // DAY == 1
 
     def test_sorted_by_time_within_user(self):
         recs = [
@@ -375,7 +375,7 @@ class TestManifest:
         assert manifest["version"] == 1
         assert len(split.train) == manifest["counts"]["train"]
         assert split.item_count == manifest["item_count"]
-        vocab = split.item_vocab
+        vocab = {i for s in split.train for i in s.items}
         assert vocab == set(range(1, split.item_count + 1))
 
     def test_byte_identical_reruns(self, tmp_path):

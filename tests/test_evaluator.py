@@ -172,6 +172,14 @@ class TestEvaluate:
         with pytest.raises(ConfigError):
             compute_ranks(params, instances[:1], "unseen", 1.0, mode="nope")
 
+    def test_bad_task_rejected(self):
+        # a misspelled task must not fall back to the repeat protocol
+        params, instances = self._setup()
+        with pytest.raises(ConfigError, match="'Unseen'"):
+            compute_ranks(params, instances[:1], "Unseen", 1.0)
+        with pytest.raises(ConfigError, match="'Unseen'"):
+            evaluate(params, instances[:1], "Unseen")
+
 
 class TestBatchedRanking:
     @pytest.mark.parametrize("task", ["unseen", "repeat"])

@@ -70,6 +70,8 @@ class TestTemperature:
             AnnealSchedule(3.0, 0.0, 10)  # non-positive floor
         with pytest.raises(ConfigError):
             AnnealSchedule(3.0, 0.01, 0)  # no epochs
+        with pytest.raises(ConfigError):
+            AnnealSchedule(float("inf"), 0.01, 10)  # temperature(1) would be inf * 0 = nan
 
 
 class TestSelectionDistribution:

@@ -5,12 +5,12 @@ import importlib
 import json
 import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from proxyrec import trainer as trainer_module
-from proxyrec.autodiff import finite_difference_check
 from proxyrec.data import PredictionInstance, Session, chronological_split, expand_all
 from proxyrec.errors import CheckpointError, ConfigError, DataError, LengthError
 from proxyrec.selector import temperature
@@ -28,6 +28,7 @@ from proxyrec.trainer import (
     save_checkpoint,
     train_epoch,
 )
+from gradcheck import finite_difference_check
 from reference import hinge_term, reference_objective
 
 
@@ -354,7 +355,7 @@ class TestCheckpoint:
         p1, p2 = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
         save_checkpoint(p1, params, adam, 0, 3.0, cfg)
         save_checkpoint(p2, params, adam, 0, 3.0, cfg)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_corruption_detected(self, tmp_path):
         cfg = small_cfg()
@@ -362,20 +363,20 @@ class TestCheckpoint:
         adam = AdamState.zeros(params.named())
         path = str(tmp_path / "model.ckpt")
         save_checkpoint(path, params, adam, 0, 3.0, cfg)
-        raw = open(path, "rb").read()
+        raw = Path(path).read_bytes()
 
         bad_magic = str(tmp_path / "bad1.ckpt")
-        open(bad_magic, "wb").write(b"XXXX" + raw[4:])
+        Path(bad_magic).write_bytes(b"XXXX" + raw[4:])
         with pytest.raises(CheckpointError):
             load_checkpoint(bad_magic)
 
         truncated = str(tmp_path / "bad2.ckpt")
-        open(truncated, "wb").write(raw[: len(raw) // 2])
+        Path(truncated).write_bytes(raw[: len(raw) // 2])
         with pytest.raises(CheckpointError):
             load_checkpoint(truncated)
 
         trailing = str(tmp_path / "bad3.ckpt")
-        open(trailing, "wb").write(raw + b"\x00")
+        Path(trailing).write_bytes(raw + b"\x00")
         with pytest.raises(CheckpointError):
             load_checkpoint(trailing)
 
@@ -384,7 +385,7 @@ class TestCheckpoint:
         params = init_model(9, cfg)
         path = str(tmp_path / "model.ckpt")
         save_checkpoint(path, params, AdamState.zeros(params.named()), 0, 3.0, cfg)
-        raw = open(path, "rb").read()
+        raw = Path(path).read_bytes()
         meta_at = raw.index(b'"adam_step"')
         # a byte of the meta, and one of the last tensor block's float data
         for where, at in (("meta", meta_at), ("tensor", len(raw) - 12)):
