@@ -15,6 +15,14 @@ gradient zeroed so it stays pinned at zero.
 
 After every Adam step, item and proxy rows are clipped back into the unit
 ball and normal rows are rescaled to exactly unit norm.
+
+A batch allocates nothing the size of a parameter table: each epoch makes
+the leaves' gradient buffers once and zeroes them in place per batch; Adam
+runs over cache-sized blocks of rows in two scratch rows the Adam state
+keeps, and the projection squares into a buffer the parameters keep. Both
+keep the operation order of the plain expressions, so training is
+bit-identical to computing them with temporaries. Each batch's negatives
+come from one sample_negatives call.
 """
 
 from __future__ import annotations
@@ -117,6 +125,7 @@ class ModelParams:
         self._named = named
         self.user_tags = user_tags
         self._rows = {tag: i + 1 for i, tag in enumerate(user_tags)}
+        self._scratch = np.empty(0)  # project_constraints' work buffer
 
     @property
     def items(self) -> np.ndarray:
@@ -194,15 +203,27 @@ def init_model(item_count: int, cfg: TrainConfig, user_tags: list[str] | None = 
 
 
 def project_constraints(params: ModelParams) -> None:
-    """Clip item/proxy rows into the unit ball; renormalize normal rows."""
+    """Clip item/proxy rows into the unit ball; renormalize normal rows.
+
+    Row norms are np.linalg.norm's, bit for bit, with the squares written
+    into a buffer the params keep instead of a new table-sized array.
+    """
     named = params.named()
-    for table in (named["items"], named["proxies"]):
-        norms = np.linalg.norm(table, axis=1)
+    tables = (named["items"], named["proxies"], named["normals"])
+    size = max(t.size for t in tables)
+    if params._scratch.size < size:
+        params._scratch = np.empty(size)
+
+    def row_norms(t: np.ndarray) -> np.ndarray:
+        squares = np.multiply(t, t, out=params._scratch[: t.size].reshape(t.shape))
+        return np.sqrt(np.add.reduce(squares, axis=1))
+
+    for table in tables[:2]:
+        norms = row_norms(table)
         over = norms > 1.0
         if over.any():
             table[over] /= norms[over, None]
-    vn = np.linalg.norm(named["normals"], axis=1)
-    named["normals"] /= np.maximum(vn, EPS)[:, None]
+    named["normals"] /= np.maximum(row_norms(named["normals"]), EPS)[:, None]
     named["user_bias"][0] = 0.0
 
 
@@ -217,6 +238,9 @@ def make_leaves(params: ModelParams) -> dict[str, Tensor]:
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# elements per adam_step block: a block's p, g, m, v and two scratch rows
+# stay in cache through all of the update's operations
+_ADAM_BLOCK = 16_384
 
 
 @dataclass
@@ -224,6 +248,10 @@ class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int = 0
+    # adam_step's two work rows, one block long; not state
+    scratch: np.ndarray = dataclasses.field(
+        default_factory=lambda: np.empty((2, 0)), repr=False, compare=False
+    )
 
     @classmethod
     def zeros(cls, named: dict[str, np.ndarray]) -> "AdamState":
@@ -246,20 +274,40 @@ def adam_step(
     state: AdamState,
     lr: float,
 ) -> None:
-    """One in-place Adam update with bias correction."""
+    """One in-place Adam update with bias correction.
+
+    Each table is updated in blocks of rows of about _ADAM_BLOCK elements.
+    Every intermediate goes to the state's two scratch rows, in the order of
+    m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
+    p -= lr*(m/c1) / (sqrt(v/c2) + eps), so each element is bit-equal to
+    evaluating those expressions over whole tables with temporaries.
+    """
     state.step += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** state.step
     c2 = 1.0 - b2 ** state.step
     for name, p in named.items():
-        g = grads[name]
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1 - b1) * g
-        v *= b2
-        v += (1 - b2) * g * g
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+        row = p.size // len(p)
+        rows = min(len(p), max(1, _ADAM_BLOCK // row))
+        if state.scratch.shape[1] < rows * row:
+            state.scratch = np.empty((2, rows * row))
+        for lo in range(0, len(p), rows):
+            block = slice(lo, lo + rows)
+            pb, g = p[block], grads[name][block]
+            m, v = state.m[name][block], state.v[name][block]
+            a = state.scratch[0, : pb.size].reshape(pb.shape)
+            b = state.scratch[1, : pb.size].reshape(pb.shape)
+            m *= b1
+            m += np.multiply(1 - b1, g, out=a)
+            v *= b2
+            np.multiply(1 - b2, g, out=a)
+            v += np.multiply(a, g, out=a)
+            np.divide(m, c1, out=a)
+            np.multiply(lr, a, out=a)
+            np.divide(v, c2, out=b)
+            np.sqrt(b, out=b)
+            b += ADAM_EPS
+            pb -= np.divide(a, b, out=a)
 
 
 # -- batched objective -----------------------------------------------------------
@@ -331,7 +379,8 @@ def train_epoch(
 
     The epoch's shuffle and negative draws come from a generator derived from
     (seed, epoch) alone, so resuming from a checkpoint replays the identical
-    stream without any saved RNG state.
+    stream without any saved RNG state. Each leaf's gradient buffer is made
+    once per epoch and zeroed in place before every batch.
     """
     rng = np.random.default_rng([cfg.seed, _STREAM_EPOCH, epoch])
     perm = rng.permutation(len(instances))
@@ -340,22 +389,21 @@ def train_epoch(
     totals = {"loss": 0.0, "hinge": 0.0, "reg_dist": 0.0, "reg_orthog": 0.0}
     grad_norm_sum = 0.0
     n_batches = 0
+    grads = {name: np.zeros_like(t.data) for name, t in leaves.items()}
     for start in range(0, len(instances), cfg.batch_size):
         bidx = perm[start : start + cfg.batch_size]
         batch = [instances[i] for i in bidx]
-        negs = np.stack(
-            [sample_negatives(inst.target, n_items, cfg.negatives, rng) for inst in batch]
-        )
-        for t in leaves.values():
-            t.zero_grad()
+        targets = np.fromiter((inst.target for inst in batch), dtype=np.int64, count=len(batch))
+        negs = sample_negatives(targets, n_items, cfg.negatives, rng)
+        for name, t in leaves.items():
+            # backward adds into the buffer: 0.0 + g is g, and -0.0 becomes
+            # +0.0, as when backward allocates it
+            grads[name].fill(0.0)
+            t.grad = grads[name]
         J, parts = objective(batch, leaves, tau, cfg, negs, params.bias_rows(batch))
         if not np.isfinite(J.data):
             raise NumericError(f"non-finite loss in epoch {epoch}, batch {n_batches}")
         J.backward()
-        grads = {
-            name: (t.grad if t.grad is not None else np.zeros_like(t.data))
-            for name, t in leaves.items()
-        }
         grads["user_bias"][0] = 0.0  # anonymous row stays pinned
         grad_norm_sum += float(np.sqrt(sum(float(np.vdot(g, g)) for g in grads.values())))
         adam_step(named, grads, adam, cfg.learning_rate)

@@ -14,6 +14,7 @@ import numpy as np
 
 from proxyrec.errors import ConfigError, DegenerateProxyError, LengthError, MetricError
 from proxyrec.scoring import SCORING_MODES
+from proxyrec.trainer import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
 EPS = 1e-12
 
@@ -262,3 +263,46 @@ def reference_objective(instances, params, tau, cfg, negatives):
                 np.linalg.norm(proxy) + EPS
             )
     return total
+
+
+# -- negatives and the parameter update -------------------------------------------
+
+
+def reference_negatives(targets, vocab_size: int, count: int, rng) -> np.ndarray:
+    """One rng.choice(N - 1, count, replace=False) per row, target skipped."""
+    rows = []
+    for target in targets:
+        draw = rng.choice(vocab_size - 1, size=count, replace=False) + 1
+        draw[draw >= target] += 1
+        rows.append(draw)
+    return np.array(rows, dtype=np.int64).reshape(-1, count)
+
+
+def reference_adam_step(named, grads, state, lr: float) -> None:
+    """Adam with bias correction, one temporary per operation."""
+    state.step += 1
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    c1 = 1.0 - b1 ** state.step
+    c2 = 1.0 - b2 ** state.step
+    for name, p in named.items():
+        g = grads[name]
+        m = state.m[name]
+        v = state.v[name]
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * g * g
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+
+
+def reference_project_constraints(named) -> None:
+    """Item/proxy rows clipped into the unit ball, normal rows at unit norm,
+    with np.linalg.norm row norms."""
+    for table in (named["items"], named["proxies"]):
+        norms = np.linalg.norm(table, axis=1)
+        over = norms > 1.0
+        if over.any():
+            table[over] /= norms[over, None]
+    vn = np.linalg.norm(named["normals"], axis=1)
+    named["normals"] /= np.maximum(vn, EPS)[:, None]
+    named["user_bias"][0] = 0.0

@@ -33,6 +33,7 @@ from proxyrec.errors import (
     SamplingError,
     SplitError,
 )
+from reference import reference_negatives
 
 DAY = D.SECONDS_PER_DAY
 
@@ -303,18 +304,17 @@ class TestNegativeSampling:
     def test_monte_carlo_never_hits_target(self):
         rng = np.random.default_rng(99)
         N, target = 37, 19
-        for _ in range(10_000):
-            draw = sample_negatives(target, N, 5, rng)
-            assert target not in draw
-            assert len(set(draw.tolist())) == 5
-            assert draw.min() >= 1 and draw.max() <= N
+        draws = sample_negatives(np.full(10_000, target), N, 5, rng)
+        assert draws.shape == (10_000, 5)
+        assert not (draws == target).any()
+        ordered = np.sort(draws, axis=1)
+        assert (ordered[:, 1:] != ordered[:, :-1]).all()  # 5 distinct per row
+        assert draws.min() >= 1 and draws.max() <= N
 
     def test_uniform_coverage(self):
         rng = np.random.default_rng(1)
         N, target = 6, 3
-        hits = Counter()
-        for _ in range(6000):
-            hits.update(sample_negatives(target, N, 2, rng).tolist())
+        hits = Counter(sample_negatives(np.full(6000, target), N, 2, rng).ravel().tolist())
         assert set(hits) == {1, 2, 4, 5, 6}
         expect = 6000 * 2 / 5
         for c in hits.values():
@@ -323,12 +323,43 @@ class TestNegativeSampling:
     def test_overdraw_raises(self):
         rng = np.random.default_rng(0)
         with pytest.raises(SamplingError):
-            sample_negatives(1, 10, 10, rng)
+            sample_negatives(np.array([1]), 10, 10, rng)
 
     def test_seeded_reproducibility(self):
-        a = sample_negatives(4, 100, 10, np.random.default_rng(7))
-        b = sample_negatives(4, 100, 10, np.random.default_rng(7))
+        a = sample_negatives(np.array([4]), 100, 10, np.random.default_rng(7))
+        b = sample_negatives(np.array([4]), 100, 10, np.random.default_rng(7))
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "N,C",
+        [
+            (7211, 10),  # Floyd's algorithm, batched
+            (40_000, 800),  # numpy's tail shuffle: 800 > 39_999 // 50
+            (40_000, 799),  # Floyd's algorithm, too many columns to batch
+            (65, 64),  # C = N - 1 at the batched limit
+            (12, 11),  # C = N - 1
+            (2, 1),  # C = N - 1: a single candidate
+        ],
+    )
+    def test_equals_per_row_choice(self, N, C):
+        targets = np.random.default_rng(N + C).integers(1, N + 1, size=16)
+        targets[:2] = (1, N)
+        ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
+        got = sample_negatives(targets, N, C, ours)
+        np.testing.assert_array_equal(got, reference_negatives(targets, N, C, theirs))
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_equals_per_row_choice_on_random_shapes(self):
+        shapes = np.random.default_rng(123)
+        for _ in range(200):
+            N = int(shapes.integers(2, 12_000))
+            C = int(shapes.integers(1, min(N - 1, 80) + 1))
+            targets = shapes.integers(1, N + 1, size=int(shapes.integers(1, 20)))
+            seed = int(shapes.integers(1 << 30))
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = sample_negatives(targets, N, C, ours)
+            np.testing.assert_array_equal(got, reference_negatives(targets, N, C, theirs))
+            assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 class TestKnownUsers:

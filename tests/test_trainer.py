@@ -5,6 +5,7 @@ import importlib
 import json
 import os
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,12 @@ from proxyrec.trainer import (
     train_epoch,
 )
 from gradcheck import finite_difference_check
-from reference import hinge_term, reference_objective
+from reference import (
+    hinge_term,
+    reference_adam_step,
+    reference_objective,
+    reference_project_constraints,
+)
 
 
 def small_cfg(**over) -> TrainConfig:
@@ -173,6 +179,58 @@ class TestAdam:
         assert named["w"][0] == pytest.approx(0.9, abs=1e-7)
 
 
+    @pytest.mark.parametrize(
+        "shape",
+        [(6, 3), (5,), (2500, 16), (3, 20_000)],
+        ids=["table", "bias", "blocks-of-rows", "rows-wider-than-a-block"],
+    )
+    def test_bit_equal_to_out_of_place_form(self, shape):
+        rng = np.random.default_rng(21)
+        p = rng.normal(size=shape)
+        ours, theirs = {"w": p.copy()}, {"w": p.copy()}
+        ours_state, theirs_state = AdamState.zeros(ours), AdamState.zeros(theirs)
+        for _ in range(5):
+            g = rng.normal(size=shape)
+            g[0] = -0.0  # a signed zero gradient takes the same path
+            adam_step(ours, {"w": g}, ours_state, lr=0.05)
+            reference_adam_step(theirs, {"w": g}, theirs_state, lr=0.05)
+            for a, b in ((ours, theirs), (ours_state.m, theirs_state.m),
+                         (ours_state.v, theirs_state.v)):
+                assert a["w"].tobytes() == b["w"].tobytes()
+        assert ours_state.step == theirs_state.step == 5
+
+
+def _allocated_peak(fn) -> int:
+    """Peak bytes traced while fn runs, after one warm-up call."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestNoTableSizedTemporaries:
+    """After a warm-up, the update and the projection reuse their buffers."""
+
+    def setup_method(self):
+        self.params = init_model(2000, small_cfg(embed_dim=16, proxy_count=8))
+        self.table_bytes = self.params.items.nbytes
+
+    def test_adam_step(self):
+        named = self.params.named()
+        grads = {k: np.full_like(a, 1e-3) for k, a in named.items()}
+        state = AdamState.zeros(named)
+        peak = _allocated_peak(lambda: adam_step(named, grads, state, lr=1e-3))
+        assert peak < self.table_bytes
+
+    def test_project_constraints(self):
+        self.params.items[1:40] *= 3.0  # some rows outside the unit ball
+        peak = _allocated_peak(lambda: project_constraints(self.params))
+        assert peak < self.table_bytes
+
+
 class TestConstraints:
     def test_rows_clipped_and_normals_unit(self):
         cfg = small_cfg()
@@ -190,6 +248,24 @@ class TestConstraints:
         assert np.linalg.norm(named["proxies"][0]) == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(named["normals"][1], [0.0, 1.0, 0.0, 0.0], atol=1e-15)
         assert (params.user_bias[0] == 0.0).all()
+
+    def test_bit_equal_to_linalg_norm_form(self):
+        cfg = small_cfg(proxy_count=5)
+        ours = init_model(30, cfg, user_tags=["x"])
+        rng = np.random.default_rng(4)
+        named = ours.named()
+        for name in ("items", "proxies", "normals"):
+            named[name][:] = rng.normal(size=named[name].shape)
+        named["items"][1] = [1.0, 0.0, 0.0, 0.0]  # at norm 1: left alone
+        named["items"][2] = [0.6, 0.8, 0.0, 0.0]
+        named["items"][3] *= 1e-3  # well inside
+        named["proxies"][0] = [0.0, -1.0, 0.0, 0.0]
+        named["user_bias"][0] = 2.0
+        theirs = ours.copy()
+        project_constraints(ours)
+        reference_project_constraints(theirs.named())
+        for name, arr in ours.named().items():
+            assert arr.tobytes() == theirs.named()[name].tobytes(), name
 
     def test_init_is_deterministic_and_constrained(self):
         cfg = small_cfg(seed=9)
