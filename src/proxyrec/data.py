@@ -341,9 +341,6 @@ def expand_all(
 # then shuffles, unless pop > _TAIL_SHUFFLE_POP and C > pop // 50, where it
 # shuffles the tail of a full range instead
 _TAIL_SHUFFLE_POP = 10_000
-# past this many columns the per-step duplicate test (O(B * C) each) costs
-# more than per-row choice calls
-_BATCHED_MAX_COUNT = 64
 
 
 def sample_negatives(
@@ -368,7 +365,7 @@ def sample_negatives(
         )
     targets = np.asarray(targets, dtype=np.int64).reshape(-1, 1)
     B, pop = targets.shape[0], vocab_size - 1
-    if (pop > _TAIL_SHUFFLE_POP and count > pop // 50) or count > _BATCHED_MAX_COUNT:
+    if pop > _TAIL_SHUFFLE_POP and count > pop // 50:
         out = np.array(
             [rng.choice(pop, size=count, replace=False) for _ in range(B)], dtype=np.int64
         ).reshape(B, count)
@@ -453,10 +450,11 @@ def _session_to_json(s: Session) -> str:
     )
 
 
-def _session_from_obj(d, item_count: int) -> Session:
-    """One parsed session line; raises ValueError unless it is an object with
-    a non-empty 'items' list of ids in 1..item_count, an integer 'start_ts'
+def _session_from_json(line: str, item_count: int) -> Session:
+    """One session line; raises ValueError unless it is an object with a
+    non-empty 'items' list of ids in 1..item_count, an integer 'start_ts'
     and a 'user' string or null."""
+    d = json.loads(line)
     items = d.get("items") if isinstance(d, dict) else None
     if (
         not isinstance(items, list)
@@ -471,43 +469,6 @@ def _session_from_obj(d, item_count: int) -> Session:
             "'start_ts' and a 'user' string or null"
         )
     return Session(items=tuple(items), start_ts=d["start_ts"], user_tag=d["user"])
-
-
-def _read_sessions(fpath: str, item_count: int) -> list[Session]:
-    """The sessions of one split file, one JSON object per non-blank line.
-
-    The lines are parsed with one json.loads over them joined into an array,
-    each object checked and turned into a Session as soon as it is parsed, so
-    the parsed dicts die as they would line by line instead of piling up for
-    the garbage collector. If that parse or any check fails, or the array
-    does not hold one session per line, the file is parsed again line by
-    line, so the DataError names the first bad line. (A string cannot run on
-    past its line's newline, but a crafted file could still move one
-    session's tail onto the next line, join two others on one line, and be
-    accepted.)
-    """
-    try:
-        with open(fpath, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{fpath}: not UTF-8 text: {exc}")
-    numbered = [(n, line) for n, line in enumerate(lines, start=1) if line.strip()]
-    try:
-        sessions = json.loads(
-            "[" + ",".join(line for _, line in numbered) + "]",
-            object_hook=lambda d: _session_from_obj(d, item_count),
-        )
-        if len(sessions) == len(numbered) and all(type(s) is Session for s in sessions):
-            return sessions
-    except (ValueError, RecursionError):  # RecursionError: deep nesting
-        pass
-    sessions = []
-    for lineno, line in numbered:
-        try:
-            sessions.append(_session_from_obj(json.loads(line), item_count))
-        except (ValueError, RecursionError) as exc:
-            raise DataError(f"{fpath}: line {lineno}: {exc}")
-    return sessions
 
 
 def write_split_manifest(
@@ -583,10 +544,21 @@ def read_split_manifest(data_dir: str) -> tuple[SessionSplit, dict]:
             "files and an integer 'item_count'"
         )
     item_count = manifest["item_count"]
-    parts = {
-        name: _read_sessions(os.path.join(data_dir, fname), item_count)
-        for name, fname in files.items()
-    }
+    parts = {}
+    for name, fname in files.items():
+        fpath = os.path.join(data_dir, fname)
+        try:
+            with open(fpath, encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{fpath}: not UTF-8 text: {exc}")
+        parts[name] = []
+        for lineno, line in enumerate(lines, start=1):
+            if line.strip():
+                try:
+                    parts[name].append(_session_from_json(line, item_count))
+                except (ValueError, RecursionError) as exc:  # RecursionError: deep nesting
+                    raise DataError(f"{fpath}: line {lineno}: {exc}")
     top = max((max(s.items) for s in parts["train"]), default=0)
     if top != item_count:
         raise DataError(

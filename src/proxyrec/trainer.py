@@ -389,7 +389,7 @@ def train_epoch(
     totals = {"loss": 0.0, "hinge": 0.0, "reg_dist": 0.0, "reg_orthog": 0.0}
     grad_norm_sum = 0.0
     n_batches = 0
-    grads = {name: np.zeros_like(t.data) for name, t in leaves.items()}
+    buffers = {name: np.zeros_like(t.data) for name, t in leaves.items()}
     for start in range(0, len(instances), cfg.batch_size):
         bidx = perm[start : start + cfg.batch_size]
         batch = [instances[i] for i in bidx]
@@ -398,12 +398,13 @@ def train_epoch(
         for name, t in leaves.items():
             # backward adds into the buffer: 0.0 + g is g, and -0.0 becomes
             # +0.0, as when backward allocates it
-            grads[name].fill(0.0)
-            t.grad = grads[name]
+            buffers[name].fill(0.0)
+            t.grad = buffers[name]
         J, parts = objective(batch, leaves, tau, cfg, negs, params.bias_rows(batch))
         if not np.isfinite(J.data):
             raise NumericError(f"non-finite loss in epoch {epoch}, batch {n_batches}")
         J.backward()
+        grads = {name: t.grad for name, t in leaves.items()}
         grads["user_bias"][0] = 0.0  # anonymous row stays pinned
         grad_norm_sum += float(np.sqrt(sum(float(np.vdot(g, g)) for g in grads.values())))
         adam_step(named, grads, adam, cfg.learning_rate)

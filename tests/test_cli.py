@@ -246,6 +246,21 @@ def test_train_rejects_corrupt_split_file_with_exit_2(prepared, capsys, line, pr
     assert "train.jsonl: line 3:" in err and problem in err
 
 
+def test_train_rejects_a_session_split_over_two_lines_with_exit_2(prepared, capsys):
+    # line 3's session runs on into line 4, and line 5 holds two sessions:
+    # joined by commas into one JSON array, the lines would still parse to
+    # as many sessions as there are lines
+    tmp_path, data, cfg = prepared
+    lines = (data / "train.jsonl").read_text(encoding="utf-8").splitlines()
+    head, tail = lines[2].split(',"start_ts"')
+    lines[2:5] = [head, '"start_ts"' + tail, lines[3] + "," + lines[4]]
+    (data / "train.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rc = main(["train", "--data", str(data), "--out-dir", str(tmp_path / "run"),
+               "--config", str(cfg)])
+    assert rc == 2
+    assert "train.jsonl: line 3:" in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 def test_train_diverging_to_a_nan_forward_exits_3(prepared, capsys):
     # one batch per epoch: the diverged parameters reach validation before
