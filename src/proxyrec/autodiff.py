@@ -129,9 +129,6 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 

@@ -1,14 +1,15 @@
 """Operator commands: prepare a dataset, train, evaluate, run the ablation grid.
 
-Configuration is a flat key = value text file whose keys are exactly the
-training and filter fields plus the path keys, layered as
+train and ablate resolve a TrainConfig from a flat key = value file whose
+keys are exactly its fields, layered as
 
     command line  >  environment (PROXYREC_SEED)  >  file  >  defaults
 
 with unknown keys rejected and every problem in a bad configuration reported
-in a single error rather than one at a time. Each command writes the fully
-resolved configuration next to its outputs, so a run can be replayed from its
-artifacts alone. All output bytes are a pure function of inputs plus seed,
+in a single error rather than one at a time. The config.resolved they write
+next to their outputs replays the run through --config. prepare builds its
+FilterConfig from its own flags, checks them the same way and records them in
+manifest.json. All output bytes are a pure function of inputs plus seed,
 except the wall-clock seconds, which go to their own timing files.
 
 Process exit codes: 0 success, 1 usage or configuration, 2 data or artifact
@@ -25,6 +26,7 @@ import os
 import sys
 
 from .data import (
+    TASKS,
     FilterConfig,
     apply_filters,
     build_sessions,
@@ -58,39 +60,18 @@ ENV_SEED = "PROXYREC_SEED"
 
 # -- configuration layering ----------------------------------------------------
 
-_PATH_KEYS = {"data": str, "out_dir": str, "ratios": str}
-
-_BOOL_WORDS = {
-    "true": True,
-    "yes": True,
-    "1": True,
-    "false": False,
-    "no": False,
-    "0": False,
-}
+def _raise_problems(problems: list[str]) -> None:
+    if problems:
+        raise ConfigError(
+            f"{len(problems)} configuration problem(s):\n  " + "\n  ".join(problems)
+        )
 
 
-def _field_types(cls) -> dict[str, type]:
-    # every field has a typed default, so the default's type is the key's type
-    return {f.name: type(f.default) for f in dataclasses.fields(cls)}
-
-
-TRAIN_KEYS = _field_types(TrainConfig)
-FILTER_KEYS = _field_types(FilterConfig)
-CONFIG_KEYS: dict[str, type] = {**TRAIN_KEYS, **FILTER_KEYS, **_PATH_KEYS}
-
-
-def _coerce(text: str, kind: type):
-    if kind is bool:
-        word = text.strip().lower()
-        if word not in _BOOL_WORDS:
-            raise ValueError(f"expected a boolean, got {text!r}")
-        return _BOOL_WORDS[word]
-    if kind is int:
-        return int(text)
-    if kind is float:
-        return float(text)
-    return text
+def _key_value(text: str, origin: str) -> tuple[str, str, str]:
+    """One `key = value` entry as a (key, raw value, origin) triple; without
+    an '=' the key is empty, which resolve_config flags as unknown."""
+    key, sep, value = text.partition("=")
+    return (key.strip(), value.strip(), origin) if sep else ("", text, origin)
 
 
 def read_config_file(path: str) -> list[tuple[str, str, str]]:
@@ -112,12 +93,7 @@ def read_config_file(path: str) -> list[tuple[str, str, str]]:
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        key, sep, value = stripped.partition("=")
-        origin = f"{path}:{lineno}"
-        if not sep:
-            triples.append(("", stripped, origin))  # flagged downstream
-        else:
-            triples.append((key.strip(), value.strip(), origin))
+        triples.append(_key_value(stripped, f"{path}:{lineno}"))
     return triples
 
 
@@ -125,16 +101,15 @@ def resolve_config(
     config_path: str | None = None,
     overrides: list[tuple[str, str, str]] | None = None,
     environ=None,
-) -> dict:
-    """Layer defaults, file, environment, and overrides into one mapping.
+) -> TrainConfig:
+    """Layer defaults, file, environment, and overrides into one TrainConfig.
 
     Later layers win. Raises a single ConfigError listing every unknown key,
     unparseable value, and out-of-range field found anywhere in the stack.
     """
     environ = os.environ if environ is None else environ
-    values: dict = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
-    values.update({f.name: f.default for f in dataclasses.fields(FilterConfig)})
-    values.update({"data": "", "out_dir": "", "ratios": "8,1,1"})
+    defaults = dataclasses.asdict(TrainConfig())
+    values = dict(defaults)
 
     layers: list[tuple[str, str, str]] = []
     if config_path is not None:
@@ -145,45 +120,29 @@ def resolve_config(
 
     problems: list[str] = []
     for key, text, origin in layers:
-        if key not in CONFIG_KEYS:
+        if key not in defaults:
             shown = key if key else text
             problems.append(f"{origin}: unknown key {shown!r}")
             continue
+        kind = type(defaults[key])  # every field has a typed default
         try:
-            values[key] = _coerce(text, CONFIG_KEYS[key])
+            values[key] = kind(text)
         except ValueError:
-            problems.append(
-                f"{origin}: bad value {text!r} for {key} "
-                f"(expected {CONFIG_KEYS[key].__name__})"
-            )
+            problems.append(f"{origin}: bad value {text!r} for {key} (expected {kind.__name__})")
 
     # the dataclass stays the single authority on the rules; it checks the
     # resolved fields together, so a rule spanning two fields sees both
-    problems += TrainConfig.problems({key: values[key] for key in TRAIN_KEYS})
+    problems += TrainConfig.problems(values)
 
-    if problems:
-        raise ConfigError(
-            f"{len(problems)} configuration problem(s):\n  " + "\n  ".join(problems)
-        )
-    return values
+    _raise_problems(problems)
+    return TrainConfig(**values)
 
 
-def train_config(resolved: dict) -> TrainConfig:
-    return TrainConfig(**{k: resolved[k] for k in TRAIN_KEYS})
-
-
-def filter_config(resolved: dict) -> FilterConfig:
-    return FilterConfig(**{k: resolved[k] for k in FILTER_KEYS})
-
-
-def write_resolved(resolved: dict, out_dir: str) -> None:
-    """Persist the configuration a run actually used, in file syntax."""
-    lines = []
-    for key in sorted(resolved):
-        value = resolved[key]
-        if isinstance(value, bool):
-            value = "true" if value else "false"
-        lines.append(f"{key} = {value}")
+def write_resolved(cfg: TrainConfig, data: str, out_dir: str) -> None:
+    """Persist the configuration a run actually used, in --config syntax; the
+    data directory goes in as a comment, which --config skips."""
+    lines = [f"# data = {data}"]
+    lines += [f"{key} = {value}" for key, value in sorted(dataclasses.asdict(cfg).items())]
     with open(os.path.join(out_dir, RESOLVED_FILE), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -191,23 +150,11 @@ def write_resolved(resolved: dict, out_dir: str) -> None:
 def _override_pairs(args) -> list[tuple[str, str, str]]:
     """Named flags plus --set entries, as (key, raw text, origin) triples."""
     pairs = []
-    for flag, key in (
-        ("mode", "mode"),
-        ("task", "task"),
-        ("known_user_ratio", "known_user_ratio"),
-        ("seed", "seed"),
-    ):
-        value = getattr(args, flag, None)
+    for key in ("mode", "task", "known_user_ratio", "seed"):
+        value = getattr(args, key, None)
         if value is not None:
-            pairs.append((key, str(value), f"--{flag.replace('_', '-')}"))
-    for entry in getattr(args, "set", None) or []:
-        key, sep, value = entry.partition("=")
-        origin = f"--set {entry}"
-        if not sep:
-            pairs.append(("", entry, origin))
-        else:
-            pairs.append((key.strip(), value.strip(), origin))
-    return pairs
+            pairs.append((key, str(value), f"--{key.replace('_', '-')}"))
+    return pairs + [_key_value(entry, f"--set {entry}") for entry in args.set or []]
 
 
 def _parse_int_list(text: str, what: str, n: int | None = None) -> tuple[int, ...]:
@@ -249,17 +196,22 @@ def _epoch_logs(out_dir: str, log_name: str, timing_name: str, echo: bool):
 
 def cmd_prepare(args) -> int:
     """load -> sessions -> filters -> chronological split -> manifest."""
-    resolved = resolve_config(overrides=_override_pairs(args), environ={})
-    for flag in FILTER_KEYS:
-        value = getattr(args, flag)
-        if value is not None:
-            resolved[flag] = value
-    if args.ratios is not None:
-        resolved["ratios"] = args.ratios
-    resolved["data"] = args.input
-    resolved["out_dir"] = args.out_dir
-    ratios = _parse_int_list(resolved["ratios"], "--ratios", 3)
-    fcfg = filter_config(resolved)
+    fields = dataclasses.fields(FilterConfig)
+    fcfg = FilterConfig(**{f.name: getattr(args, f.name) for f in fields})
+    # a session needs a prefix and a target; a max_session_len of 0 is no cap
+    floors = {"min_item_count": 1, "min_session_len": 2, "max_session_len": 0}
+    problems = [
+        f"--{name.replace('_', '-')} must be >= {floor}, got {getattr(fcfg, name)}"
+        for name, floor in floors.items()
+        if getattr(fcfg, name) < floor
+    ]
+    if args.delimiter == "":
+        problems.append("--delimiter must not be empty")
+    try:
+        ratios = _parse_int_list(args.ratios, "--ratios", 3)
+    except ConfigError as exc:
+        problems.append(str(exc))
+    _raise_problems(problems)
 
     records, raw_item_map = load_interactions(
         args.input,
@@ -271,9 +223,7 @@ def cmd_prepare(args) -> int:
     sessions = apply_filters(sessions, fcfg)
     split = chronological_split(sessions, ratios, min_session_len=fcfg.min_session_len)
 
-    os.makedirs(args.out_dir, exist_ok=True)
     write_split_manifest(split, args.out_dir, raw_item_map, fcfg, ratios)
-    write_resolved(resolved, args.out_dir)
     print(format_stats(split_stats(split)), end="")
     print(f"manifest written to {args.out_dir}")
     return 0
@@ -282,10 +232,7 @@ def cmd_prepare(args) -> int:
 def cmd_train(args) -> int:
     """Fit on a prepared split, keep the best checkpoint plus an epoch log."""
     split, _ = read_split_manifest(args.data)
-    resolved = resolve_config(args.config, _override_pairs(args))
-    resolved["data"] = args.data
-    resolved["out_dir"] = args.out_dir
-    cfg = train_config(resolved)
+    cfg = resolve_config(args.config, _override_pairs(args))
     known = pick_known_users(split, cfg)
 
     os.makedirs(args.out_dir, exist_ok=True)
@@ -306,7 +253,7 @@ def cmd_train(args) -> int:
             indent=2,
         )
         fh.write("\n")
-    write_resolved(resolved, args.out_dir)
+    write_resolved(cfg, args.data, args.out_dir)
     print(
         f"best epoch {result.epoch}  val R@20 {result.val_recall20:.4f}  "
         f"checkpoint {ckpt_path}"
@@ -377,10 +324,7 @@ def ablation_variants(base: TrainConfig) -> dict[str, TrainConfig]:
 def cmd_ablate(args) -> int:
     """Train every grid variant under one seed and tabulate test metrics."""
     split, _ = read_split_manifest(args.data)
-    resolved = resolve_config(args.config, _override_pairs(args))
-    resolved["data"] = args.data
-    resolved["out_dir"] = args.out_dir
-    base = train_config(resolved)
+    base = resolve_config(args.config, _override_pairs(args))
     known = pick_known_users(split, base)
 
     os.makedirs(args.out_dir, exist_ok=True)
@@ -434,7 +378,7 @@ def cmd_ablate(args) -> int:
     with open(os.path.join(args.out_dir, ABLATION_FILE), "w", encoding="utf-8") as fh:
         json.dump(rows, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    write_resolved(resolved, args.out_dir)
+    write_resolved(base, args.data, args.out_dir)
     print(grid)
     return 0
 
@@ -484,25 +428,28 @@ def build_parser() -> argparse.ArgumentParser:
     prepare.add_argument("--delimiter", help="field separator (default: by extension)")
     prepare.add_argument("--skip-header", action="store_true")
     prepare.add_argument("--anonymize", action="store_true", help="drop user tags")
-    prepare.add_argument("--min-item-count", dest="min_item_count", type=int)
-    prepare.add_argument("--min-session-len", dest="min_session_len", type=int)
-    prepare.add_argument("--max-session-len", dest="max_session_len", type=int)
+    defaults = FilterConfig()
+    prepare.add_argument("--min-item-count", type=int, default=defaults.min_item_count)
+    prepare.add_argument("--min-session-len", type=int, default=defaults.min_session_len)
+    prepare.add_argument(
+        "--max-session-len", type=int, default=defaults.max_session_len, help="0: no cap"
+    )
     prepare.add_argument(
         "--no-day-split",
         dest="split_by_day",
         action="store_false",
-        default=None,
+        default=defaults.split_by_day,
         help="keep each user's log as one session instead of daily sessions",
     )
     prepare.add_argument(
         "--drop-over-length",
         dest="drop_over_length",
         action="store_true",
-        default=None,
+        default=defaults.drop_over_length,
         help="drop over-cap sessions instead of truncating",
     )
-    prepare.add_argument("--ratios", help="train,valid,test weights (default 8,1,1)")
-    prepare.set_defaults(func=cmd_prepare, set=None)
+    prepare.add_argument("--ratios", default="8,1,1", help="train,valid,test weights")
+    prepare.set_defaults(func=cmd_prepare)
 
     train = commands.add_parser("train", help="fit a model on a prepared split")
     train.add_argument("--data", required=True, help="directory from prepare")
@@ -513,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev = commands.add_parser("evaluate", help="score a checkpoint on a prepared split")
     ev.add_argument("--checkpoint", required=True)
     ev.add_argument("--data", required=True, help="directory from prepare")
-    ev.add_argument("--task", choices=("repeat", "unseen"), help="default: from checkpoint")
+    ev.add_argument("--task", choices=TASKS, help="default: from checkpoint")
     ev.add_argument("--ks", default="5,10,20", help="metric cutoffs")
     ev.add_argument("--split", choices=("test", "valid"), default="test")
     ev.add_argument("--out-dir", help="default: next to the checkpoint")

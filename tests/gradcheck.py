@@ -86,7 +86,7 @@ def finite_difference_check(
     if rng is None:
         rng = np.random.default_rng(0)
     for t in leaves.values():
-        t.zero_grad()
+        t.grad = None
     out = objective()
     out.backward()
     grads = {}

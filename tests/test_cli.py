@@ -1,5 +1,6 @@
 """Command surface: config layering, exit codes, artifacts, determinism."""
 
+import dataclasses
 import gzip
 import json
 import os
@@ -8,13 +9,7 @@ import zlib
 
 import pytest
 
-from proxyrec.cli import (
-    ablation_variants,
-    main,
-    read_config_file,
-    resolve_config,
-    train_config,
-)
+from proxyrec.cli import ablation_variants, main, read_config_file, resolve_config
 from proxyrec.errors import ConfigError
 from proxyrec.synth import planted_corpus
 from proxyrec.trainer import TrainConfig, load_checkpoint
@@ -50,11 +45,13 @@ def prepared(tmp_path):
 
 
 def test_defaults_match_dataclasses():
-    resolved = resolve_config(environ={})
-    cfg = train_config(resolved)
-    assert cfg == TrainConfig()
-    assert resolved["min_item_count"] == 5
-    assert resolved["ratios"] == "8,1,1"
+    assert resolve_config(environ={}) == TrainConfig()
+
+
+def test_every_config_key_parses_from_its_default_type():
+    # values are parsed as type(default)(text); bool("false") would be True
+    for field in dataclasses.fields(TrainConfig):
+        assert type(field.default) in (int, float, str), field.name
 
 
 def test_file_env_and_overrides_layer_in_order(tmp_path):
@@ -62,15 +59,15 @@ def test_file_env_and_overrides_layer_in_order(tmp_path):
     path.write_text("seed = 7\nnegatives = 2\n# comment\n\nmargin = 0.25\n", encoding="utf-8")
     assert len(read_config_file(str(path))) == 3
 
-    resolved = resolve_config(str(path), environ={"PROXYREC_SEED": "99"})
-    assert (resolved["seed"], resolved["negatives"], resolved["margin"]) == (99, 2, 0.25)
+    cfg = resolve_config(str(path), environ={"PROXYREC_SEED": "99"})
+    assert (cfg.seed, cfg.negatives, cfg.margin) == (99, 2, 0.25)
 
-    resolved = resolve_config(
+    cfg = resolve_config(
         str(path),
         overrides=[("seed", "5", "--seed")],
         environ={"PROXYREC_SEED": "99"},
     )
-    assert resolved["seed"] == 5
+    assert cfg.seed == 5
 
 
 def test_every_config_problem_reported_at_once(tmp_path):
@@ -90,8 +87,7 @@ def test_every_config_problem_reported_at_once(tmp_path):
 def test_anneal_pair_is_checked_as_resolved(tmp_path):
     path = tmp_path / "anneal.cfg"
     path.write_text("anneal_start = 0.005\nanneal_end = 0.001\n", encoding="utf-8")
-    resolved = resolve_config(str(path), environ={})
-    assert train_config(resolved).schedule().end == 0.001
+    assert resolve_config(str(path), environ={}).schedule().end == 0.001
     path.write_text("anneal_start = 0.005\n", encoding="utf-8")  # below the default end
     with pytest.raises(ConfigError, match="anneal_start"):
         resolve_config(str(path), environ={})
@@ -122,10 +118,9 @@ def test_ablation_variant_grid_shape():
 
 def test_prepare_writes_stats_and_is_rerunnable(prepared, capsys):
     tmp_path, data, _ = prepared
-    # config.resolved records out_dir, the only artifact allowed to differ
-    names = sorted(set(os.listdir(data)) - {"config.resolved"})
-    first = {name: (data / name).read_bytes() for name in names}
+    first = {name: (data / name).read_bytes() for name in os.listdir(data)}
     assert "manifest.json" in first and "stats.txt" in first
+    assert "config.resolved" not in first  # manifest.json records the filters
     assert b"# sessions\t" in first["stats.txt"]
 
     data2 = tmp_path / "data2"
@@ -176,6 +171,22 @@ def test_prepare_usage_errors(tmp_path, capsys):
     assert main(["prepare", "--input", str(tmp_path / "absent.tsv"),
                  "--out-dir", str(tmp_path / "x")]) == 2
     capsys.readouterr()
+
+
+def test_prepare_rejects_unusable_flags_at_once(tmp_path, capsys):
+    log = tmp_path / "log.tsv"
+    log.write_text("u1\ta\t100\nu1\tb\t101\n", encoding="utf-8")
+    out = tmp_path / "x"
+    rc = main(["prepare", "--input", str(log), "--out-dir", str(out),
+               "--min-item-count", "0", "--min-session-len", "1", "--max-session-len", "-1",
+               "--ratios", "8,1", "--delimiter", ""])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "5 configuration problem(s)" in err
+    for fragment in ("--min-item-count", "--min-session-len", "--max-session-len", "--ratios",
+                     "--delimiter"):
+        assert fragment in err
+    assert not out.exists()
 
 
 def test_prepare_infinite_timestamp_exits_2(tmp_path, capsys):
@@ -286,6 +297,10 @@ def test_train_writes_checkpoint_log_and_resolved_config(prepared, capsys):
     assert all("val_recall20" in json.loads(line) for line in lines)
     resolved = (out / "config.resolved").read_text()
     assert "seed = 7" in resolved and "embed_dim = 8" in resolved
+    # the data directory rides along as a comment; the keys are what --config takes
+    assert resolved.startswith(f"# data = {data}\n")
+    keys = {key for key, _, _ in read_config_file(str(out / "config.resolved"))}
+    assert keys == {field.name for field in dataclasses.fields(TrainConfig)}
 
     # ratio 0: no flagged users, checkpoint carries an empty tag list
     assert json.loads((out / "known_users.json").read_text())["users"] == []
@@ -355,6 +370,15 @@ def test_train_rejects_bad_config_with_exit_1(prepared, capsys):
                "--config", str(gone)])
     assert rc == 1
     assert "unknown key 'threads'" in capsys.readouterr().err
+
+    # filter and path keys belong to prepare's flags and the command line
+    retired = tmp_path / "retired.cfg"
+    retired.write_text("min_item_count = 3\ndata = x\n", encoding="utf-8")
+    rc = main(["train", "--data", str(data), "--out-dir", str(tmp_path / "u"),
+               "--config", str(retired)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "unknown key 'min_item_count'" in err and "unknown key 'data'" in err
 
     latin = tmp_path / "latin1.cfg"
     latin.write_bytes("# caf\u00e9\nseed = 3\n".encode("latin-1"))

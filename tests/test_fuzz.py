@@ -1,10 +1,11 @@
 """Seeded fuzzing of every external input: logs, manifests and their split
-files, config files and checkpoints.
+files, config files, checkpoints and prepare's flags.
 
-Each example truncates, bit-flips or inserts bytes into one valid file and
-runs the command that reads it. Whatever the damage, main() must return one
-of the documented exit codes (0 success, 1 configuration, 2 data or
-artifact, 3 numeric) and never raise.
+Each file example truncates, bit-flips or inserts bytes into one valid file
+and runs the command that reads it; the flag example draws prepare's filter,
+delimiter and ratio values. Whatever the input, main() must return one of
+the documented exit codes (0 success, 1 configuration, 2 data or artifact,
+3 numeric) and never raise.
 """
 
 import contextlib
@@ -15,7 +16,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from proxyrec.cli import main
 from proxyrec.synth import planted_corpus
@@ -96,6 +97,29 @@ def test_damaged_log(artifacts, fix, gz):
         log = damaged_copy(artifacts / name, Path(tmp) / name, fix)
         rc = run(["prepare", "--input", str(log), "--out-dir", str(Path(tmp) / "out"),
                   "--min-item-count", "1"])
+    assert rc in (0, 1, 2, 3)
+
+
+@FUZZ
+@given(
+    floors=st.tuples(st.integers(-2, 8), st.integers(-2, 8), st.integers(-2, 60)),
+    # the log's own separator is one choice, so some draws get past the parse
+    delimiter=st.one_of(st.just("\t"), st.text(max_size=2)),
+    ratios=st.one_of(
+        st.lists(st.integers(0, 10), min_size=3, max_size=3).map(lambda v: ",".join(map(str, v))),
+        st.text(max_size=6),
+    ),
+)
+@example(floors=(2, 3, 10), delimiter="\t", ratios="6,2,2")  # draws seldom get this far
+def test_prepare_flags(artifacts, floors, delimiter, ratios):
+    min_item_count, min_session_len, max_session_len = floors
+    with tempfile.TemporaryDirectory() as tmp:
+        rc = run(["prepare", "--input", str(artifacts / "log.tsv"),
+                  "--out-dir", str(Path(tmp) / "out"),
+                  "--min-item-count", str(min_item_count),
+                  "--min-session-len", str(min_session_len),
+                  "--max-session-len", str(max_session_len),
+                  "--delimiter", delimiter, "--ratios", ratios])
     assert rc in (0, 1, 2, 3)
 
 
