@@ -16,7 +16,7 @@ last reference.
 gather() has a row-sparse gradient: the contributions are summed per
 distinct index into a block of just those rows, which is then added into the
 operand's gradient. A batch that gathers a few rows of a large table pays for
-those rows, plus one dense gradient buffer per table.
+those rows, plus the table's own gradient array.
 
 Variable-length sequences are packed along axis 0 as consecutive runs of
 rows, described by each run's start row. segment_sum (through
@@ -114,12 +114,6 @@ class Tensor:
             self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
         else:
             self.grad += g
-
-    def _accum_rows(self, rows: np.ndarray, block: np.ndarray) -> None:
-        """Add block[i] into gradient row rows[i]; rows must be distinct."""
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad[rows] += block
 
     @property
     def shape(self):
@@ -268,7 +262,9 @@ class Tensor:
                 # bincount sums each slot in index order, as np.add.at would
                 slots = (inv.reshape(-1, 1) * width + np.arange(width)).ravel()
                 block = np.bincount(slots, weights=g.reshape(-1), minlength=rows.size * width)
-                a._accum_rows(rows, block.reshape((rows.size,) + row_shape))
+                if a.grad is None:
+                    a.grad = np.zeros_like(a.data)
+                a.grad[rows] += block.reshape((rows.size,) + row_shape)
 
         return Tensor._make(a.data[idx], (a,), backward)
 

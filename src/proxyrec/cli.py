@@ -196,14 +196,12 @@ def _epoch_logs(out_dir: str, log_name: str, timing_name: str, echo: bool):
 
 def cmd_prepare(args) -> int:
     """load -> sessions -> filters -> chronological split -> manifest."""
-    fields = dataclasses.fields(FilterConfig)
-    fcfg = FilterConfig(**{f.name: getattr(args, f.name) for f in fields})
     # a session needs a prefix and a target; a max_session_len of 0 is no cap
     floors = {"min_item_count": 1, "min_session_len": 2, "max_session_len": 0}
     problems = [
-        f"--{name.replace('_', '-')} must be >= {floor}, got {getattr(fcfg, name)}"
+        f"--{name.replace('_', '-')} must be >= {floor}, got {getattr(args, name)}"
         for name, floor in floors.items()
-        if getattr(fcfg, name) < floor
+        if getattr(args, name) < floor
     ]
     if args.delimiter == "":
         problems.append("--delimiter must not be empty")
@@ -212,6 +210,8 @@ def cmd_prepare(args) -> int:
     except ConfigError as exc:
         problems.append(str(exc))
     _raise_problems(problems)
+    fields = dataclasses.fields(FilterConfig)
+    fcfg = FilterConfig(**{f.name: getattr(args, f.name) for f in fields})
 
     records, raw_item_map = load_interactions(
         args.input,

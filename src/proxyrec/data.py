@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DataError,
     EmptyInputError,
     ParseError,
@@ -59,6 +60,11 @@ class FilterConfig:
     max_session_len: int = 50  # 0 disables the cap
     split_by_day: bool = True
     drop_over_length: bool = False  # drop instead of truncating over-cap sessions
+
+    def __post_init__(self):
+        # a floor of 0 would keep sessions that lost every item
+        if self.min_session_len < 1:
+            raise ConfigError(f"min_session_len must be >= 1, got {self.min_session_len}")
 
 
 @dataclass
@@ -256,6 +262,8 @@ def chronological_split(
     total = sum(ratios)
     if total <= 0 or any(r < 0 for r in ratios):
         raise SplitError(f"bad split ratios {ratios}")
+    if min_session_len < 1:
+        raise SplitError(f"min_session_len must be >= 1, got {min_session_len}")
     ordered = sorted(sessions, key=lambda s: s.start_ts)
     n_train = n * ratios[0] // total
     n_valid = n * ratios[1] // total
@@ -533,15 +541,19 @@ def read_split_manifest(data_dir: str) -> tuple[SessionSplit, dict]:
         except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise DataError(f"{path}: not a JSON manifest: {exc}")
     files = manifest.get("files") if isinstance(manifest, dict) else None
+    counts = manifest.get("counts") if isinstance(manifest, dict) else None
     if (
         not isinstance(files, dict)
         or sorted(files) != sorted(_SPLIT_FILES)
         or not all(isinstance(f, str) and "\0" not in f for f in files.values())
         or type(manifest.get("item_count")) is not int
+        or not isinstance(counts, dict)
+        or sorted(counts) != sorted(_SPLIT_FILES)
+        or not all(type(c) is int for c in counts.values())
     ):
         raise DataError(
             f"{path}: manifest needs 'files' naming the train, valid and test "
-            "files and an integer 'item_count'"
+            "files, an integer 'item_count' and integer session 'counts' for each"
         )
     item_count = manifest["item_count"]
     parts = {}
@@ -564,6 +576,12 @@ def read_split_manifest(data_dir: str) -> tuple[SessionSplit, dict]:
         raise DataError(
             f"{path}: item_count {item_count} is not the largest train item id ({top})"
         )
+    for name, fname in files.items():
+        if len(parts[name]) != counts[name]:
+            raise DataError(
+                f"{os.path.join(data_dir, fname)}: {len(parts[name])} sessions, "
+                f"but the manifest counts {counts[name]}"
+            )
     split = SessionSplit(
         train=parts["train"],
         valid=parts["valid"],

@@ -16,13 +16,11 @@ gradient zeroed so it stays pinned at zero.
 After every Adam step, item and proxy rows are clipped back into the unit
 ball and normal rows are rescaled to exactly unit norm.
 
-A batch allocates nothing the size of a parameter table: each epoch makes
-the leaves' gradient buffers once and zeroes them in place per batch; Adam
-runs over cache-sized blocks of rows in two scratch rows the Adam state
-keeps, and the projection squares into a buffer the parameters keep. Both
-keep the operation order of the plain expressions, so training is
-bit-identical to computing them with temporaries. Each batch's negatives
-come from one sample_negatives call.
+Each leaf gets one gradient array per epoch, zeroed in place before every
+batch. Adam runs over cache-sized blocks of rows in two scratch rows the
+Adam state keeps, in the operation order of the plain expressions, so it is
+bit-identical to computing them with table-sized temporaries. Each batch's
+negatives come from one sample_negatives call.
 """
 
 from __future__ import annotations
@@ -39,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import evaluator
 from .autodiff import Tensor
 from .data import (
     TASKS,
@@ -125,7 +124,6 @@ class ModelParams:
         self._named = named
         self.user_tags = user_tags
         self._rows = {tag: i + 1 for i, tag in enumerate(user_tags)}
-        self._scratch = np.empty(0)  # project_constraints' work buffer
 
     @property
     def items(self) -> np.ndarray:
@@ -203,27 +201,14 @@ def init_model(item_count: int, cfg: TrainConfig, user_tags: list[str] | None = 
 
 
 def project_constraints(params: ModelParams) -> None:
-    """Clip item/proxy rows into the unit ball; renormalize normal rows.
-
-    Row norms are np.linalg.norm's, bit for bit, with the squares written
-    into a buffer the params keep instead of a new table-sized array.
-    """
+    """Clip item/proxy rows into the unit ball; renormalize normal rows."""
     named = params.named()
-    tables = (named["items"], named["proxies"], named["normals"])
-    size = max(t.size for t in tables)
-    if params._scratch.size < size:
-        params._scratch = np.empty(size)
-
-    def row_norms(t: np.ndarray) -> np.ndarray:
-        squares = np.multiply(t, t, out=params._scratch[: t.size].reshape(t.shape))
-        return np.sqrt(np.add.reduce(squares, axis=1))
-
-    for table in tables[:2]:
-        norms = row_norms(table)
+    for table in (named["items"], named["proxies"]):
+        norms = np.linalg.norm(table, axis=1)
         over = norms > 1.0
         if over.any():
             table[over] /= norms[over, None]
-    named["normals"] /= np.maximum(row_norms(named["normals"]), EPS)[:, None]
+    named["normals"] /= np.maximum(np.linalg.norm(named["normals"], axis=1), EPS)[:, None]
     named["user_bias"][0] = 0.0
 
 
@@ -379,7 +364,7 @@ def train_epoch(
 
     The epoch's shuffle and negative draws come from a generator derived from
     (seed, epoch) alone, so resuming from a checkpoint replays the identical
-    stream without any saved RNG state. Each leaf's gradient buffer is made
+    stream without any saved RNG state. Each leaf's gradient array is made
     once per epoch and zeroed in place before every batch.
     """
     rng = np.random.default_rng([cfg.seed, _STREAM_EPOCH, epoch])
@@ -389,17 +374,17 @@ def train_epoch(
     totals = {"loss": 0.0, "hinge": 0.0, "reg_dist": 0.0, "reg_orthog": 0.0}
     grad_norm_sum = 0.0
     n_batches = 0
-    buffers = {name: np.zeros_like(t.data) for name, t in leaves.items()}
+    for t in leaves.values():
+        t.grad = np.empty_like(t.data)
     for start in range(0, len(instances), cfg.batch_size):
         bidx = perm[start : start + cfg.batch_size]
         batch = [instances[i] for i in bidx]
         targets = np.fromiter((inst.target for inst in batch), dtype=np.int64, count=len(batch))
         negs = sample_negatives(targets, n_items, cfg.negatives, rng)
-        for name, t in leaves.items():
-            # backward adds into the buffer: 0.0 + g is g, and -0.0 becomes
+        for t in leaves.values():
+            # backward adds into the array: 0.0 + g is g, and -0.0 becomes
             # +0.0, as when backward allocates it
-            buffers[name].fill(0.0)
-            t.grad = buffers[name]
+            t.grad.fill(0.0)
         J, parts = objective(batch, leaves, tau, cfg, negs, params.bias_rows(batch))
         if not np.isfinite(J.data):
             raise NumericError(f"non-finite loss in epoch {epoch}, batch {n_batches}")
@@ -461,8 +446,6 @@ def fit(
     After each epoch, log_fn(stats, seconds) gets the epoch's deterministic
     stats and, apart from them, its wall-clock seconds.
     """
-    from .evaluator import evaluate  # local import keeps module layering one-way
-
     if start_epoch >= cfg.epochs:
         raise ConfigError(f"start_epoch {start_epoch} leaves no epoch of {cfg.epochs} to run")
     known = set(known_users or [])
@@ -487,7 +470,9 @@ def fit(
         tau = temperature(epoch, sched)
         t0 = time.monotonic()
         stats = train_epoch(train_inst, params, leaves, adam, cfg, epoch, tau)
-        report = evaluate(params, valid_inst, cfg.task, (20,), tau, mode=cfg.mode)
+        # looked up on the module per call, so a caller (the benchmark) can
+        # time validation by replacing proxyrec.evaluator.evaluate
+        report = evaluator.evaluate(params, valid_inst, cfg.task, (20,), tau, mode=cfg.mode)
         stats["val_recall20"] = report.recall[20]
         history.append(stats)
         if log_fn is not None:
@@ -506,7 +491,6 @@ def fit(
             bad_epochs += 1
             if bad_epochs >= cfg.patience:
                 break
-    best.history = history
     return best
 
 

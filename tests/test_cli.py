@@ -189,6 +189,19 @@ def test_prepare_rejects_unusable_flags_at_once(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_prepare_reports_a_zero_session_floor_with_the_other_problems(tmp_path, capsys):
+    # the flags are checked before they build a FilterConfig, which would
+    # raise on a floor below 1 by itself
+    log = tmp_path / "log.tsv"
+    log.write_text("u1\ta\t100\nu1\tb\t101\n", encoding="utf-8")
+    rc = main(["prepare", "--input", str(log), "--out-dir", str(tmp_path / "x"),
+               "--min-session-len", "0", "--ratios", "8,1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "2 configuration problem(s)" in err
+    assert "--min-session-len must be >= 2, got 0" in err and "--ratios" in err
+
+
 def test_prepare_infinite_timestamp_exits_2(tmp_path, capsys):
     log = tmp_path / "inf.tsv"
     log.write_text("u1\ta\t100\nu1\tb\tinf\n", encoding="utf-8")
@@ -219,7 +232,7 @@ def test_prepare_unreadable_log_exits_2(tmp_path, capsys):
         '{"files": {"train": "train.jsonl", "valid": "valid.jsonl", "test": "test.jsonl"}}',
         '{"files": {"train": "train.jsonl"}, "item_count": 60}',
         '{"files": {"train": "train.jsonl", "valid": "valid.jsonl", "test": "test.jsonl"}, '
-        '"item_count": 1060}',
+        '"item_count": 1060, "counts": {"train": 1, "valid": 1, "test": 1}}',
         '{"files": {"train": "train\\u0000", "valid": "valid.jsonl", "test": "test.jsonl"}, '
         '"item_count": 60}',
     ],
@@ -270,6 +283,21 @@ def test_train_rejects_a_session_split_over_two_lines_with_exit_2(prepared, caps
                "--config", str(cfg)])
     assert rc == 2
     assert "train.jsonl: line 3:" in capsys.readouterr().err
+
+
+def test_train_rejects_a_split_file_that_lost_lines_with_exit_2(prepared, capsys):
+    tmp_path, data, cfg = prepared
+    counts = json.loads((data / "manifest.json").read_text(encoding="utf-8"))["counts"]
+    lines = (data / "train.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    assert len(lines) == counts["train"] > 30
+    (data / "train.jsonl").write_text("".join(lines[:-30]), encoding="utf-8")
+    rc = main(["train", "--data", str(data), "--out-dir", str(tmp_path / "run"),
+               "--config", str(cfg)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"train.jsonl: {counts['train'] - 30} sessions, but the manifest counts " \
+           f"{counts['train']}" in err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")

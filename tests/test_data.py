@@ -27,6 +27,7 @@ from proxyrec.data import (
     write_split_manifest,
 )
 from proxyrec.errors import (
+    ConfigError,
     DataError,
     EmptyInputError,
     ParseError,
@@ -211,6 +212,17 @@ class TestFilters:
         with pytest.raises(EmptyInputError):
             apply_filters([Session((1,), 0, None)], FilterConfig(min_item_count=5, min_session_len=2))
 
+    def test_session_floor_below_one_rejected(self):
+        # with a floor of 0, the first session would lose its one rare item
+        # and still be kept, as Session(items=())
+        assert apply_filters(
+            [Session((1,), 0, "u"), Session((2, 3, 2), 1, "u"), Session((3, 2, 3), 2, "u")],
+            FilterConfig(min_item_count=2, min_session_len=1),
+        ) == [Session((2, 3, 2), 1, "u"), Session((3, 2, 3), 2, "u")]
+        for floor in (0, -1):
+            with pytest.raises(ConfigError, match="min_session_len"):
+                FilterConfig(min_item_count=2, min_session_len=floor)
+
 
 class TestSplit:
     def make(self, n, items=lambda k: (1, 2, 3)):
@@ -241,6 +253,16 @@ class TestSplit:
         for s in split.valid + split.test:
             assert all(1 <= i <= split.item_count for i in s.items)
         assert len(split.valid) + len(split.test) == 0  # both survivors were pruned away
+
+    def test_session_floor_below_one_rejected(self):
+        # with a floor of 0, the last session, all of whose items are
+        # missing from the train vocabulary, would be kept empty
+        sessions = [Session((10, 20), t * 10, None) for t in range(8)]
+        sessions += [Session((10, 20), 900, None), Session((99, 77), 1000, None)]
+        split = chronological_split(sessions, min_session_len=1)
+        assert [s.items for s in split.valid + split.test] == [(1, 2)]
+        with pytest.raises(SplitError, match="min_session_len"):
+            chronological_split(sessions, min_session_len=0)
 
     def test_compaction_to_dense_train_vocab(self):
         sessions = [Session((50, 7), 0, None), Session((7, 50), 10, None),
@@ -444,6 +466,37 @@ class TestManifest:
         st = split_stats(split)
         assert st == {"interactions": 7, "items": 3, "sessions": 3, "avg_length": 7 / 3}
         assert format_stats(st) == "# interactions\t7\n# items\t3\n# sessions\t3\navg. length\t2.33\n"
+
+    @pytest.mark.parametrize("name", ["train.jsonl", "valid.jsonl", "test.jsonl"])
+    @pytest.mark.parametrize("edit", ["drop", "repeat"])
+    def test_lost_or_repeated_line_names_file_and_counts(self, tmp_path, name, edit):
+        out = self.pipeline(tmp_path)
+        counts = json.loads((out / "manifest.json").read_text())["counts"]
+        expected = counts[name.split(".")[0]]
+        lines = (out / name).read_text().splitlines(keepends=True)
+        lines[-1:] = [] if edit == "drop" else lines[-1:] * 2
+        (out / name).write_text("".join(lines))
+        found = expected - 1 if edit == "drop" else expected + 1
+        with pytest.raises(DataError, match=f"{name}: {found} sessions, but the manifest "
+                                            f"counts {expected}"):
+            read_split_manifest(str(out))
+
+    @pytest.mark.parametrize(
+        "counts",
+        [None, [5, 1, 1], {"train": 5, "valid": 1}, {"train": 5.0, "valid": 1, "test": 1},
+         {"train": True, "valid": 1, "test": 1}],
+        ids=["missing", "list", "two-splits", "float", "bool"],
+    )
+    def test_counts_must_be_three_ints(self, tmp_path, counts):
+        out = self.pipeline(tmp_path)
+        manifest = json.loads((out / "manifest.json").read_text())
+        if counts is None:
+            del manifest["counts"]
+        else:
+            manifest["counts"] = counts
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match="'counts'"):
+            read_split_manifest(str(out))
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataError):

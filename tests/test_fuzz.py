@@ -5,7 +5,8 @@ Each file example truncates, bit-flips or inserts bytes into one valid file
 and runs the command that reads it; the flag example draws prepare's filter,
 delimiter and ratio values. Whatever the input, main() must return one of
 the documented exit codes (0 success, 1 configuration, 2 data or artifact,
-3 numeric) and never raise.
+3 numeric) and never raise. The line example drops or repeats one whole line
+of a split file, which a byte edit seldom does, and must get exit code 2.
 """
 
 import contextlib
@@ -134,6 +135,22 @@ def test_damaged_manifest_or_split_file(artifacts, fix, name):
         rc = run(["train", "--data", str(data), "--out-dir", str(Path(tmp) / "run"),
                   "--config", str(artifacts / "run.cfg")] + SMALL)
     assert rc in (0, 1, 2, 3)
+
+
+@FUZZ
+@given(name=st.sampled_from(["train.jsonl", "valid.jsonl", "test.jsonl"]),
+       at=st.floats(0.0, 1.0), repeat=st.booleans())
+def test_split_file_with_a_line_dropped_or_repeated(artifacts, name, at, repeat):
+    with tempfile.TemporaryDirectory() as tmp:
+        data = Path(tmp) / "data"
+        shutil.copytree(artifacts / "data", data)
+        lines = (data / name).read_bytes().splitlines(keepends=True)
+        i = min(int(at * len(lines)), len(lines) - 1)
+        lines[i : i + 1] = lines[i : i + 1] * 2 if repeat else []
+        (data / name).write_bytes(b"".join(lines))
+        rc = run(["train", "--data", str(data), "--out-dir", str(Path(tmp) / "run"),
+                  "--config", str(artifacts / "run.cfg")] + SMALL)
+    assert rc == 2  # the file no longer holds the session count the manifest records
 
 
 @FUZZ
