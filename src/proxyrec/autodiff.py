@@ -6,17 +6,37 @@ routes it back to them. No closure refers to its own output, so a graph holds
 no reference cycle. backward() on a scalar output walks the recorded trace
 once in reverse topological order, accumulating into .grad on every tensor
 that requires it. Gradients add up across fan-out, so a subexpression used
-twice contributes twice. The walk consumes the graph: a recorded forward
-supports one backward().
+twice contributes twice.
+
+The walk consumes the graph and frees it as it goes. When a node's turn
+comes, every consumer has already run, so its gradient is complete; its
+closure runs, and then the node drops its closure, its inputs and, unless it
+is the root, its .grad. A recorded forward supports one backward(), after
+which only the leaves and the root hold a gradient.
+
+A closure hands each input a gradient array. One it made for that call alone
+(a product, a quotient, a negation, a matmul, ...) becomes the input's
+.grad as it is when the input has none yet, and later contributions add into
+it in place. An array the closure shares or cannot write is copied first:
+the output gradient that + passes to both operands and - to its left one,
+reshape's view and sum's read-only broadcast. So no two tensors share a
+gradient array. A kept first gradient may hold a -0.0 where a copy made with
++ 0.0 would not; that sign cannot reach a leaf whose gradient buffer starts
+at +0.0, because +0.0 + -0.0 is +0.0.
 
 Under no_grad(), or when no input requires a gradient, an op records
 nothing: its output keeps neither inputs nor closure, and is freed with its
 last reference.
 
-gather() has a row-sparse gradient: the contributions are summed per
-distinct index into a block of just those rows, which is then added into the
-operand's gradient. A batch that gathers a few rows of a large table pays for
-those rows, plus the table's own gradient array.
+gather() sums the contributions per row, in index order, with one weighted
+np.bincount. When the index has fewer entries than the table has rows, the
+gradient is row-sparse: the sums go into a block of just the distinct rows
+the index names, which is then added into those rows of the operand's
+gradient, and a batch that gathers a few rows of a large table pays for
+those rows, plus the table's own gradient array. Otherwise the table is
+small next to the index: the sums cover the whole table, with no np.unique,
+and the block is added into the whole gradient. Both forms sum each row in
+the same order, so they give the same bits.
 
 Variable-length sequences are packed along axis 0 as consecutive runs of
 rows, described by each run's start row. segment_sum (through
@@ -109,9 +129,19 @@ class Tensor:
         return out
 
     def _accum(self, g: np.ndarray) -> None:
+        """Add g, a temporary made for this call alone, into .grad; a first
+        gradient is kept as it is."""
         if self.grad is None:
-            # one pass; adding +0.0 turns a -0.0 into +0.0 as zeros + g would
-            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+            # a 0-d result comes back as a numpy scalar
+            self.grad = g if type(g) is np.ndarray else np.array(g)
+        else:
+            self.grad += g
+
+    def _accum_copy(self, g: np.ndarray) -> None:
+        """Add g, which may be shared or read-only, into .grad; a first
+        gradient is copied."""
+        if self.grad is None:
+            self.grad = np.array(g)
         else:
             self.grad += g
 
@@ -142,9 +172,9 @@ class Tensor:
 
         def backward(g):
             if a.requires_grad:
-                a._accum(_unbroadcast(g, a.data.shape))
+                a._accum_copy(_unbroadcast(g, a.data.shape))
             if b.requires_grad:
-                b._accum(_unbroadcast(g, b.data.shape))
+                b._accum_copy(_unbroadcast(g, b.data.shape))
 
         return Tensor._make(data, (a, b), backward)
 
@@ -169,7 +199,7 @@ class Tensor:
 
         def backward(g):
             if a.requires_grad:
-                a._accum(_unbroadcast(g, a.data.shape))
+                a._accum_copy(_unbroadcast(g, a.data.shape))
             if b.requires_grad:
                 b._accum(_unbroadcast(-g, b.data.shape))
 
@@ -238,15 +268,16 @@ class Tensor:
 
         def backward(g):
             if a.requires_grad:
-                a._accum(g.reshape(a.data.shape))
+                a._accum_copy(g.reshape(a.data.shape))
 
         return Tensor._make(a.data.reshape(shape), (a,), backward)
 
     def gather(self, index):
         """Select rows along axis 0 with an integer index array of any shape.
 
-        The gradient is row-sparse: only the distinct rows the index names
-        are touched, each summing its contributions in index order.
+        Each row's gradient sums its contributions in index order. An index
+        with fewer entries than the table has rows touches only the distinct
+        rows it names; a longer one sums over the whole table.
         """
         idx = np.asarray(index)
         if idx.dtype.kind not in "iu":
@@ -255,16 +286,24 @@ class Tensor:
 
         def backward(g):
             if a.requires_grad:
-                row_shape = a.data.shape[1:]
+                n_rows, row_shape = a.data.shape[0], a.data.shape[1:]
                 # a negative index names the same row as its positive form
-                rows, inv = np.unique(idx % a.data.shape[0], return_inverse=True)
+                block_rows = idx % n_rows
+                sparse = idx.size < n_rows
+                if sparse:
+                    rows, block_rows = np.unique(block_rows, return_inverse=True)
+                    n_rows = rows.size
                 width = int(np.prod(row_shape))
                 # bincount sums each slot in index order, as np.add.at would
-                slots = (inv.reshape(-1, 1) * width + np.arange(width)).ravel()
-                block = np.bincount(slots, weights=g.reshape(-1), minlength=rows.size * width)
+                slots = (block_rows.reshape(-1, 1) * width + np.arange(width)).ravel()
+                block = np.bincount(slots, weights=g.reshape(-1), minlength=n_rows * width)
+                block = block.reshape((n_rows,) + row_shape)
+                if not sparse:
+                    a._accum(block)
+                    return
                 if a.grad is None:
                     a.grad = np.zeros_like(a.data)
-                a.grad[rows] += block.reshape((rows.size,) + row_shape)
+                a.grad[rows] += block
 
         return Tensor._make(a.data[idx], (a,), backward)
 
@@ -322,7 +361,7 @@ class Tensor:
 
         def backward(g):
             if a.requires_grad:
-                a._accum(np.broadcast_to(g, a.data.shape))
+                a._accum_copy(np.broadcast_to(g, a.data.shape))
 
         return Tensor._make(a.data.sum(), (a,), backward)
 
@@ -431,9 +470,10 @@ class Tensor:
     def backward(self):
         """Reverse pass from a scalar output; accumulates into .grad leaves.
 
-        Afterwards every recorded node forgets its inputs and closure, so the
-        batch's intermediate arrays and their gradients are freed as soon as
-        the caller drops them, even while it still holds the root.
+        Each recorded node forgets its inputs, its closure and, unless it is
+        the root, its gradient as soon as its closure has run, so the walk
+        frees intermediate arrays and gradients as it goes. Afterwards only
+        the leaves and the root hold a .grad; every other node's is None.
         """
         if self.data.size != 1:
             raise GradientError(f"backward requires a scalar output, got shape {self.data.shape}")
@@ -453,10 +493,13 @@ class Tensor:
                 if id(child) not in visited:
                     stack.append((child, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
+        while order:
+            # reverse topological order: every consumer of node has run, so
+            # its gradient is complete and nothing reads it after this
+            node = order.pop()
             if node._backward is not None:
                 node._backward(node.grad)
-        for node in order:
-            if node._prev:
                 node._backward = None
                 node._prev = ()
+                if node is not self:
+                    node.grad = None

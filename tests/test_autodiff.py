@@ -7,6 +7,7 @@ are asserted directly.
 
 import gc
 import re
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -165,6 +166,38 @@ class TestLinalg:
         assert out.shape == (2, 2, 2)
         out.sum().backward()
         assert table.grad[1].sum() == pytest.approx(2 * 2)
+
+    @pytest.mark.parametrize("row_shape", [(), (3,)])
+    @pytest.mark.parametrize("index_2d", [False, True])
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_dense_and_row_sparse_gather_backward_are_bit_equal(self, row_shape, index_2d, extra):
+        # an index at least as long as the table sums over the whole table;
+        # the same gather from a table with more rows than index entries
+        # takes the row-sparse path, and both must match np.add.at
+        rng = np.random.default_rng(5)
+        n = 6
+        size = n + extra
+        idx = rng.integers(-n, n, size=size)
+        # one row named three times, once by its negative form: summed in
+        # index order 1 + 1e-16 + 1e-16 rounds to 1, in any other to more
+        idx[:3] = [2, 2 - n, 2]
+        w = rng.normal(size=(size,) + row_shape)
+        w[:3] = np.array([1.0, 1e-16, 1e-16]).reshape((3,) + (1,) * len(row_shape))
+        if index_2d:
+            idx, w = idx.reshape(1, size), w.reshape((1, size) + row_shape)
+        want = np.zeros((n,) + row_shape)
+        np.add.at(want, idx, w)
+        for start in ("zeroed", "none"):
+            table = Tensor(rng.normal(size=(n,) + row_shape), requires_grad=True)
+            sparse = Tensor(rng.normal(size=(n + size + 1,) + row_shape), requires_grad=True)
+            if start == "zeroed":
+                table.grad = np.zeros_like(table.data)
+                sparse.grad = np.zeros_like(sparse.data)
+            (table.gather(idx) * Tensor(w)).sum().backward()
+            (sparse.gather(idx % n) * Tensor(w)).sum().backward()
+            np.testing.assert_array_equal(table.grad, want)
+            np.testing.assert_array_equal(table.grad, sparse.grad[:n])
+            np.testing.assert_array_equal(sparse.grad[n:], 0.0)
 
     def test_reshape_roundtrip_grad(self):
         t = Tensor(RNG.normal(size=(6,)), requires_grad=True)
@@ -363,6 +396,30 @@ class TestGraphStructure:
                 gc.enable()
         assert x.grad is not None and x.grad.shape == (3, 4)
 
+    def test_backward_releases_intermediate_gradients(self):
+        # each step's gradients are dropped once consumed: the walk holds a
+        # few arrays at a time, not one per recorded node
+        x = Tensor(RNG.normal(size=(2000, 64)), requires_grad=True)
+        nodes, h = [], x
+        for _ in range(12):
+            half = h * 0.5
+            rect = half.relu()
+            h = rect + h
+            nodes += [half, rect, h]
+        del half, rect
+        root = h.sum()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            root.backward()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * x.data.nbytes, f"backward peaked at {peak / 1e6:.1f} MB"
+        assert all(node.grad is None for node in nodes)
+        assert x.grad.shape == x.data.shape
+        np.testing.assert_array_equal(root.grad, 1.0)
+
     def test_backward_requires_scalar(self):
         t = Tensor(np.ones((2, 2)), requires_grad=True)
         with pytest.raises(GradientError):
@@ -388,6 +445,77 @@ class TestGraphStructure:
         with no_grad():
             out = (t * 2).sum()
         assert not out.requires_grad and out._prev == ()
+
+
+class TestAdoptedGradients:
+    """A closure keeps a first gradient without copying only when it made
+    that array for the call; a shared or read-only one is copied, so a later
+    in-place addition cannot reach another tensor's gradient."""
+
+    W = RNG.normal(size=(4, 3))
+    IDX = np.array([3, 0, 3])
+
+    @staticmethod
+    def _forward(t, second, swap):
+        # the leaf t takes the sum's gradient beside a, which then gets more
+        a = t * 2.0
+        s = a + t if not swap else t + a
+        if second == "mul":
+            extra = (a * a).sum()
+        else:
+            extra = (a.gather(TestAdoptedGradients.IDX) * Tensor(TestAdoptedGradients.W[:3])).sum()
+        main = (s * Tensor(TestAdoptedGradients.W)).sum()
+        return main + extra if not swap else extra + main
+
+    @pytest.mark.parametrize("second", ["mul", "gather"])
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_add_operands_get_their_own_copies(self, second, swap):
+        xv = RNG.normal(size=(4, 3))
+        t = Tensor(xv.copy(), requires_grad=True)
+        self._forward(t, second, swap).backward()
+        f = lambda x: float(self._forward(Tensor(x), second, swap).data)
+        np.testing.assert_allclose(t.grad, numeric_grad(f, xv.copy()), rtol=1e-6, atol=1e-6)
+
+    @pytest.mark.parametrize("op", ["add", "sub"])
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_root_gradient_is_not_handed_on(self, op, swap):
+        # root = a ± a² or a² ± a: the left operand gets the root's own
+        # gradient, which must stay 1 while that operand takes more
+        xv = float(RNG.normal())
+        t = Tensor(xv, requires_grad=True)
+        a = t * 2.0
+        left, right = (a, a * a) if not swap else (a * a, a)
+        root = left + right if op == "add" else left - right
+        root.backward()
+        np.testing.assert_array_equal(root.grad, 1.0)
+        sign = 1.0 if op == "add" else -1.0
+        want = 2.0 + sign * 8.0 * xv if not swap else 8.0 * xv + sign * 2.0
+        np.testing.assert_allclose(t.grad, want, rtol=1e-12)
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_sum_broadcast_then_another_contribution(self, swap):
+        xv = RNG.normal(size=(3, 4))
+
+        def f(t):
+            y = t * 2.0
+            return y.sum() + (y * y).sum() if not swap else (y * y).sum() + y.sum()
+
+        t = Tensor(xv.copy(), requires_grad=True)
+        f(t).backward()
+        want = numeric_grad(lambda x: float(f(Tensor(x)).data), xv.copy())
+        np.testing.assert_allclose(t.grad, want, rtol=1e-6, atol=1e-6)
+
+    def test_reshape_view_is_not_kept(self):
+        # the root keeps its gradient, so a leaf whose first gradient is a
+        # view of it must not add later contributions into the root's array
+        xv = RNG.normal(size=(1, 1))
+        t = Tensor(xv.copy(), requires_grad=True)
+        root = t.reshape()
+        root.backward()
+        (t * 3.0).sum().backward()
+        np.testing.assert_array_equal(root.grad, 1.0)
+        want = numeric_grad(lambda x: float(x.reshape(()) + (x * 3.0).sum()), xv.copy())
+        np.testing.assert_allclose(t.grad, want, rtol=1e-6)
 
 
 class TestFiniteDifferenceCheck:
