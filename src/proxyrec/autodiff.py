@@ -28,34 +28,41 @@ Under no_grad(), or when no input requires a gradient, an op records
 nothing: its output keeps neither inputs nor closure, and is freed with its
 last reference.
 
-gather() sums the contributions per row, in index order, with one weighted
+Tensor.record(data, inputs, backward) is how an op records itself, and the
+one way to add an op outside this module; its closure hands an input a
+fresh gradient array through Tensor.accum. A fixed chain of numpy work can
+so become a single op whose closure is a hand-written vector-Jacobian
+product: selector.selection_logits and encoder.encode_prefixes are such
+block ops. A block closure keeps only the arrays its product reads, and
+hands each input the gradient, in the order, that the chain's own ops
+would have.
+
+add_rows is the row sum shared by gather's backward and the block ops: the
+contributions to each table row, summed in index order with one weighted
 np.bincount. When the index has fewer entries than the table has rows, the
 gradient is row-sparse: the sums go into a block of just the distinct rows
-the index names, which is then added into those rows of the operand's
+the index names, which is then added into those rows of the table's
 gradient, and a batch that gathers a few rows of a large table pays for
 those rows, plus the table's own gradient array. Otherwise the table is
 small next to the index: the sums cover the whole table, with no np.unique,
 and the block is added into the whole gradient. Both forms sum each row in
 the same order, so they give the same bits.
 
-Variable-length sequences are packed along axis 0 as consecutive runs of
-rows, described by each run's start row. segment_sum (through
-np.add.reduceat) sums every run, repeat_rows copies row i over run i, and
-each is the other's transpose; segment_softmax normalizes a score vector
-within each run, with a hand-written vector-Jacobian product.
-
 Conventions:
   * storage is always float64; inputs are coerced on construction
   * kinked activations take the left derivative at the kink
-    (relu'(0) = 0, leaky_relu'(0) = slope, abs'(0) = 0)
+    (relu'(0) = 0, abs'(0) = 0, and the selector's leaky relu has slope 0.1
+    at 0)
   * elementwise ops broadcast as numpy does; gradients are summed back onto
     the broadcast operand's own shape
   * matmul takes the two shapes the model records, (n, k) @ (k, m) and
     (n, k) @ (k,); sum() adds every element; l2norm, inner, sq_dist and
     softmax reduce the last axis
 
-When the module-level kink_hook is set, relu, leaky_relu and abs call it with
-their pre-activation array. A finite-difference checker uses it to skip
+When the module-level kink_hook is set, relu and abs call it with their
+pre-activation array, and each block op with each of its kinked
+pre-activations, in call order, before it overwrites them in place; a hook
+copies what it keeps. A finite-difference checker uses it to skip
 coordinates whose perturbation lands on or crosses a kink, where there is no
 two-sided derivative to agree with.
 """
@@ -68,10 +75,11 @@ import numpy as np
 
 from .errors import GradientError, ShapeError
 
-__all__ = ["Tensor", "no_grad"]
+__all__ = ["Tensor", "add_rows", "no_grad"]
 
 _grad_enabled = True
-# called with the pre-activation array of every relu, leaky_relu and abs
+# called with every kinked pre-activation array: relu's, abs's and the block
+# ops' (selector.selection_logits, encoder.encode_prefixes)
 kink_hook = None
 
 
@@ -105,6 +113,40 @@ def _last_axis(grad: np.ndarray, shape: tuple[int, ...], keepdims: bool = False)
     return np.broadcast_to(grad if keepdims else grad[..., None], shape)
 
 
+def add_rows(grad: np.ndarray | None, index: np.ndarray, g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The vector-Jacobian product of table[index] for a table of shape:
+    entry i of g (index.shape + row shape) is summed into row index[i],
+    each row's entries in index order, and the sums are added into grad.
+
+    grad is the table's gradient so far, or None for none yet; it is
+    updated in place and returned. An index with fewer entries than the
+    table has rows sums into a block of just the rows it names, added into
+    those rows of grad; a longer one sums over the whole table, with no
+    np.unique. Both give the same bits.
+    """
+    n_rows, row_shape = shape[0], shape[1:]
+    # a negative index names the same row as its positive form
+    block_rows = index % n_rows
+    sparse = index.size < n_rows
+    if sparse:
+        rows, block_rows = np.unique(block_rows, return_inverse=True)
+        n_rows = rows.size
+    width = int(np.prod(row_shape))
+    # bincount sums each slot in index order, as np.add.at would
+    slots = (block_rows.reshape(-1, 1) * width + np.arange(width)).ravel()
+    block = np.bincount(slots, weights=g.reshape(-1), minlength=n_rows * width)
+    block = block.reshape((n_rows,) + row_shape)
+    if not sparse:
+        if grad is None:
+            return block
+        grad += block
+        return grad
+    if grad is None:
+        grad = np.zeros(shape)
+    grad[rows] += block
+    return grad
+
+
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev", "__weakref__")
 
@@ -118,9 +160,11 @@ class Tensor:
     # -- construction helpers -------------------------------------------
 
     @staticmethod
-    def _make(data: np.ndarray, prev: tuple["Tensor", ...], backward) -> "Tensor":
-        """The output of one op; backward(g) routes the output gradient g to
-        prev and is kept only while recording."""
+    def record(data: np.ndarray, prev: tuple["Tensor", ...], backward) -> "Tensor":
+        """The output of one op over the inputs prev. backward(g) routes the
+        output gradient g to prev and is kept only while recording: under
+        no_grad, or when no input requires a gradient, the output holds
+        neither, and whatever backward captured is freed with it."""
         out = Tensor(data)
         if _grad_enabled and any(p.requires_grad for p in prev):
             out.requires_grad = True
@@ -128,7 +172,7 @@ class Tensor:
             out._backward = backward
         return out
 
-    def _accum(self, g: np.ndarray) -> None:
+    def accum(self, g: np.ndarray) -> None:
         """Add g, a temporary made for this call alone, into .grad; a first
         gradient is kept as it is."""
         if self.grad is None:
@@ -176,7 +220,7 @@ class Tensor:
             if b.requires_grad:
                 b._accum_copy(_unbroadcast(g, b.data.shape))
 
-        return Tensor._make(data, (a, b), backward)
+        return Tensor.record(data, (a, b), backward)
 
     __radd__ = __add__
 
@@ -185,9 +229,9 @@ class Tensor:
 
         def backward(g):
             if a.requires_grad:
-                a._accum(-g)
+                a.accum(-g)
 
-        return Tensor._make(-a.data, (a,), backward)
+        return Tensor.record(-a.data, (a,), backward)
 
     def __sub__(self, other):
         other = Tensor._coerce(other)
@@ -201,9 +245,9 @@ class Tensor:
             if a.requires_grad:
                 a._accum_copy(_unbroadcast(g, a.data.shape))
             if b.requires_grad:
-                b._accum(_unbroadcast(-g, b.data.shape))
+                b.accum(_unbroadcast(-g, b.data.shape))
 
-        return Tensor._make(data, (a, b), backward)
+        return Tensor.record(data, (a, b), backward)
 
     def __mul__(self, other):
         other = Tensor._coerce(other)
@@ -215,11 +259,11 @@ class Tensor:
 
         def backward(g):
             if a.requires_grad:
-                a._accum(_unbroadcast(g * b.data, a.data.shape))
+                a.accum(_unbroadcast(g * b.data, a.data.shape))
             if b.requires_grad:
-                b._accum(_unbroadcast(g * a.data, b.data.shape))
+                b.accum(_unbroadcast(g * a.data, b.data.shape))
 
-        return Tensor._make(data, (a, b), backward)
+        return Tensor.record(data, (a, b), backward)
 
     __rmul__ = __mul__
 
@@ -233,11 +277,11 @@ class Tensor:
 
         def backward(g):
             if a.requires_grad:
-                a._accum(_unbroadcast(g / b.data, a.data.shape))
+                a.accum(_unbroadcast(g / b.data, a.data.shape))
             if b.requires_grad:
-                b._accum(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+                b.accum(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
-        return Tensor._make(data, (a, b), backward)
+        return Tensor.record(data, (a, b), backward)
 
     # -- linear algebra ---------------------------------------------------
 
@@ -255,11 +299,11 @@ class Tensor:
             G = g if bd.ndim == 2 else g[:, None]
             B = bd if bd.ndim == 2 else bd[:, None]
             if a.requires_grad:
-                a._accum(np.matmul(G, B.T))
+                a.accum(np.matmul(G, B.T))
             if b.requires_grad:
-                b._accum(np.matmul(ad.T, G).reshape(bd.shape))
+                b.accum(np.matmul(ad.T, G).reshape(bd.shape))
 
-        return Tensor._make(np.matmul(ad, bd), (a, b), backward)
+        return Tensor.record(np.matmul(ad, bd), (a, b), backward)
 
     # -- shape ops ---------------------------------------------------------
 
@@ -270,14 +314,13 @@ class Tensor:
             if a.requires_grad:
                 a._accum_copy(g.reshape(a.data.shape))
 
-        return Tensor._make(a.data.reshape(shape), (a,), backward)
+        return Tensor.record(a.data.reshape(shape), (a,), backward)
 
     def gather(self, index):
         """Select rows along axis 0 with an integer index array of any shape.
 
-        Each row's gradient sums its contributions in index order. An index
-        with fewer entries than the table has rows touches only the distinct
-        rows it names; a longer one sums over the whole table.
+        Each row's gradient sums its contributions in index order, through
+        add_rows.
         """
         idx = np.asarray(index)
         if idx.dtype.kind not in "iu":
@@ -286,72 +329,9 @@ class Tensor:
 
         def backward(g):
             if a.requires_grad:
-                n_rows, row_shape = a.data.shape[0], a.data.shape[1:]
-                # a negative index names the same row as its positive form
-                block_rows = idx % n_rows
-                sparse = idx.size < n_rows
-                if sparse:
-                    rows, block_rows = np.unique(block_rows, return_inverse=True)
-                    n_rows = rows.size
-                width = int(np.prod(row_shape))
-                # bincount sums each slot in index order, as np.add.at would
-                slots = (block_rows.reshape(-1, 1) * width + np.arange(width)).ravel()
-                block = np.bincount(slots, weights=g.reshape(-1), minlength=n_rows * width)
-                block = block.reshape((n_rows,) + row_shape)
-                if not sparse:
-                    a._accum(block)
-                    return
-                if a.grad is None:
-                    a.grad = np.zeros_like(a.data)
-                a.grad[rows] += block
+                a.grad = add_rows(a.grad, idx, g, a.data.shape)
 
-        return Tensor._make(a.data[idx], (a,), backward)
-
-    # -- runs of rows --------------------------------------------------------
-    # A run table splits axis 0 into consecutive non-empty runs: run i starts
-    # at row starts[i] (strictly increasing, starts[0] == 0) and ends where
-    # the next one starts, or at the last row.
-
-    def segment_sum(self, starts):
-        """Row sums of every run along axis 0: (R,) + the row shape."""
-        idx = np.asarray(starts)
-        lengths = np.diff(idx, append=self.data.shape[0])
-        a = self
-
-        def backward(g):
-            if a.requires_grad:
-                a._accum(np.repeat(g, lengths, axis=0))
-
-        return Tensor._make(np.add.reduceat(a.data, idx, axis=0), (a,), backward)
-
-    def repeat_rows(self, lengths):
-        """Row i repeated lengths[i] >= 1 times along axis 0; the transpose of
-        segment_sum over the runs those lengths make."""
-        counts = np.asarray(lengths)
-        starts = np.cumsum(counts) - counts
-        a = self
-
-        def backward(g):
-            if a.requires_grad:
-                a._accum(np.add.reduceat(g, starts, axis=0))
-
-        return Tensor._make(np.repeat(a.data, counts, axis=0), (a,), backward)
-
-    def segment_softmax(self, starts):
-        """Softmax of a 1-D vector within each run; each run's max is
-        subtracted first, so a length-1 run is exactly 1.0."""
-        idx = np.asarray(starts)
-        lengths = np.diff(idx, append=self.data.shape[0])
-        a = self
-        shifted = a.data - np.repeat(np.maximum.reduceat(a.data, idx), lengths)
-        e = np.exp(shifted)
-        y = e / np.repeat(np.add.reduceat(e, idx), lengths)
-
-        def backward(g):
-            if a.requires_grad:
-                a._accum(y * (g - np.repeat(np.add.reduceat(g * y, idx), lengths)))
-
-        return Tensor._make(y, (a,), backward)
+        return Tensor.record(a.data[idx], (a,), backward)
 
     # -- reductions ----------------------------------------------------------
 
@@ -363,7 +343,7 @@ class Tensor:
             if a.requires_grad:
                 a._accum_copy(np.broadcast_to(g, a.data.shape))
 
-        return Tensor._make(a.data.sum(), (a,), backward)
+        return Tensor.record(a.data.sum(), (a,), backward)
 
     def l2norm(self, keepdims: bool = False):
         """Euclidean norm over the last axis."""
@@ -375,9 +355,9 @@ class Tensor:
                 shape = a.data.shape
                 n = _last_axis(norm, shape, keepdims)
                 # guard the 0/0 cusp; the true subgradient there is taken as 0
-                a._accum(_last_axis(g, shape, keepdims) * a.data / np.maximum(n, 1e-300))
+                a.accum(_last_axis(g, shape, keepdims) * a.data / np.maximum(n, 1e-300))
 
-        return Tensor._make(norm, (a,), backward)
+        return Tensor.record(norm, (a,), backward)
 
     def inner(self, other, keepdims: bool = False):
         """Inner product sum(a * b) over the last axis, with broadcasting."""
@@ -392,11 +372,11 @@ class Tensor:
         def backward(g):
             g = _last_axis(g, shape, keepdims)
             if a.requires_grad:
-                a._accum(_unbroadcast(g * b.data, a.data.shape))
+                a.accum(_unbroadcast(g * b.data, a.data.shape))
             if b.requires_grad:
-                b._accum(_unbroadcast(g * a.data, b.data.shape))
+                b.accum(_unbroadcast(g * a.data, b.data.shape))
 
-        return Tensor._make(prod.sum(axis=-1, keepdims=keepdims), (a, b), backward)
+        return Tensor.record(prod.sum(axis=-1, keepdims=keepdims), (a, b), backward)
 
     def sq_dist(self, other):
         """Squared Euclidean distance sum((a-b)^2) over the last axis."""
@@ -410,11 +390,11 @@ class Tensor:
         def backward(g):
             g = 2.0 * diff * _last_axis(g, diff.shape)
             if a.requires_grad:
-                a._accum(_unbroadcast(g, a.data.shape))
+                a.accum(_unbroadcast(g, a.data.shape))
             if b.requires_grad:
-                b._accum(_unbroadcast(-g, b.data.shape))
+                b.accum(_unbroadcast(-g, b.data.shape))
 
-        return Tensor._make((diff * diff).sum(axis=-1), (a, b), backward)
+        return Tensor.record((diff * diff).sum(axis=-1), (a, b), backward)
 
     # -- nonlinearities ---------------------------------------------------
 
@@ -425,21 +405,9 @@ class Tensor:
 
         def backward(g):
             if a.requires_grad:
-                a._accum(g * (a.data > 0.0))
+                a.accum(g * (a.data > 0.0))
 
-        return Tensor._make(np.maximum(a.data, 0.0), (a,), backward)
-
-    def leaky_relu(self, slope: float = 0.1):
-        a = self
-        if kink_hook is not None:
-            kink_hook(a.data)
-
-        def backward(g):
-            if a.requires_grad:
-                a._accum(g * np.where(a.data > 0.0, 1.0, slope))
-
-        data = np.where(a.data > 0.0, a.data, slope * a.data)
-        return Tensor._make(data, (a,), backward)
+        return Tensor.record(np.maximum(a.data, 0.0), (a,), backward)
 
     def abs(self):
         a = self
@@ -448,9 +416,9 @@ class Tensor:
 
         def backward(g):
             if a.requires_grad:
-                a._accum(g * np.sign(a.data))
+                a.accum(g * np.sign(a.data))
 
-        return Tensor._make(np.abs(a.data), (a,), backward)
+        return Tensor.record(np.abs(a.data), (a,), backward)
 
     def softmax(self):
         """Numerically stable softmax along the last axis (max is subtracted first)."""
@@ -461,9 +429,9 @@ class Tensor:
 
         def backward(g):
             if a.requires_grad:
-                a._accum(y * (g - (g * y).sum(axis=-1, keepdims=True)))
+                a.accum(y * (g - (g * y).sum(axis=-1, keepdims=True)))
 
-        return Tensor._make(y, (a,), backward)
+        return Tensor.record(y, (a,), backward)
 
     # -- autodiff driver -----------------------------------------------------
 

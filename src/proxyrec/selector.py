@@ -19,11 +19,22 @@ so training and evaluation run the same forward. A batch is one run table
 every (T, d) row is a real item and takes the positional row of its place in
 the session. W2 is linear, so the mean is taken over the hidden rows before
 W2: each run's row sum divided by its length. The encoder shares the run
-table. The caller's strict flag picks the regime: during training
-(non-strict) the distribution is computed from the whole parent session,
-including the items after the prediction point, and degenerate mixtures are
-padded with EPS; at inference (strict) only the prefix is available and a
-degenerate mixture raises.
+table.
+
+selection_logits is one recorded op (autodiff.Tensor.record). Its forward
+evaluates the chain above in numpy with the expressions, and in the order,
+of the autodiff ops it stands for, so it gives their bits. Its hand-written
+vector-Jacobian product walks the chain back: W2, the per-run mean, the
+leaky relu's slope, W1, then the item and positional row sums
+(autodiff.add_rows). It keeps only the packed rows, a boolean mask of the
+entries above the kink, and the per-run means; under no_grad it keeps
+nothing.
+
+The caller's strict flag picks the regime: during training (non-strict) the
+distribution is computed from the whole parent session, including the items
+after the prediction point, and degenerate mixtures are padded with EPS; at
+inference (strict) only the prefix is available and a degenerate mixture
+raises.
 """
 
 from __future__ import annotations
@@ -34,7 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor
+from . import autodiff
+from .autodiff import Tensor, add_rows
 from .errors import ConfigError, DegenerateProxyError, LengthError
 
 EPS = 1e-12
@@ -87,15 +99,54 @@ def _packed(seqs, max_rows: int, what: str):
     return ids, np.arange(total) - np.repeat(starts, lengths), lengths, starts
 
 
+def _kink(pre: np.ndarray) -> None:
+    """Hand a kinked pre-activation to autodiff.kink_hook, when it is set."""
+    if autodiff.kink_hook is not None:
+        autodiff.kink_hook(pre)
+
+
+def _leaky_slopes(above: np.ndarray) -> np.ndarray:
+    """The leaky relu's slope, 1.0 where above and 0.1 elsewhere. Both are
+    exact (0.9 + 0.1 rounds to 1.0), so a product with them has the bits of
+    the matching branch: x * 1.0 is x, and x * 0.1 is 0.1 * x."""
+    slopes = np.multiply(above, 0.9)
+    slopes += 0.1
+    return slopes
+
+
 def selection_logits(item_lists, leaves: dict[str, Tensor]) -> Tensor:
     """Selection logits (B, K): position-wise FFN scores averaged over each
-    session's positions (a run sum divided by the length)."""
-    pos = leaves["sel_pos"]
+    session's positions (a run sum divided by the length). One recorded op
+    over items, sel_pos, sel_w1 and sel_w2."""
+    inputs = items, pos, w1, w2 = tuple(leaves[n] for n in ("items", "sel_pos", "sel_w1", "sel_w2"))
     ids, positions, lengths, starts = _packed(item_lists, pos.data.shape[0], "session")
-    x = leaves["items"].gather(ids) + pos.gather(positions)
-    h = (x @ leaves["sel_w1"]).leaky_relu(0.1)
-    mean_h = h.segment_sum(starts) / lengths[:, None]
-    return mean_h @ leaves["sel_w2"]
+    x = items.data[ids]
+    x += pos.data[positions]
+    h = np.matmul(x, w1.data)
+    _kink(h)
+    # h > 0 rather than not h <= 0, so a nan takes the slope 0.1
+    above = h > 0.0
+    h *= _leaky_slopes(above)
+    mean_h = np.add.reduceat(h, starts, axis=0)
+    counts = lengths[:, None].astype(np.float64)
+    mean_h /= counts
+
+    def backward(g):
+        if w2.requires_grad:
+            w2.accum(np.matmul(mean_h.T, g))
+        g_mean = np.matmul(g, w2.data.T)
+        g_mean /= counts
+        g_h = np.repeat(g_mean, lengths, axis=0)
+        g_h *= _leaky_slopes(above)
+        if w1.requires_grad:
+            w1.accum(np.matmul(x.T, g_h))
+        g_x = np.matmul(g_h, w1.data.T)
+        if items.requires_grad:
+            items.grad = add_rows(items.grad, ids, g_x, items.data.shape)
+        if pos.requires_grad:
+            pos.grad = add_rows(pos.grad, positions, g_x, pos.data.shape)
+
+    return Tensor.record(np.matmul(mean_h, w2.data), inputs, backward)
 
 
 def selection_distribution(logits: Tensor, tau: float, bias: Tensor | None = None) -> Tensor:

@@ -17,7 +17,9 @@ from proxyrec.autodiff import Tensor, no_grad
 
 
 class KinkRecorder:
-    """Collects pre-activation arrays from kinked ops (relu, leaky_relu, abs).
+    """Collects copies of the kinked pre-activation arrays that relu, abs and
+    the block ops (the selector's leaky relu; the encoder's query, key and
+    head relus) hand to autodiff.kink_hook.
 
     Used as a context manager around a forward evaluation. Two evaluations of
     the same deterministic graph produce aligned lists, which lets the

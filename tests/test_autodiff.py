@@ -73,14 +73,11 @@ class TestElementwise:
         out.sum().backward()
         np.testing.assert_allclose(t.grad, [0.5, 0.5])
 
-    def test_relu_leaky_abs(self):
+    def test_relu_and_abs(self):
         x = RNG.normal(size=(7, 3))
         t = Tensor(x, requires_grad=True)
         t.relu().sum().backward()
         np.testing.assert_allclose(t.grad, (x > 0).astype(float))
-        t = Tensor(x, requires_grad=True)
-        t.leaky_relu(0.1).sum().backward()
-        np.testing.assert_allclose(t.grad, np.where(x > 0, 1.0, 0.1))
         t = Tensor(x, requires_grad=True)
         t.abs().sum().backward()
         np.testing.assert_allclose(t.grad, np.sign(x))
@@ -89,9 +86,6 @@ class TestElementwise:
         t = Tensor(np.array([0.0, -0.0]), requires_grad=True)
         t.relu().sum().backward()
         np.testing.assert_allclose(t.grad, [0.0, 0.0])
-        t = Tensor(np.array([0.0]), requires_grad=True)
-        t.leaky_relu(0.1).sum().backward()
-        np.testing.assert_allclose(t.grad, [0.1])
 
 
 class TestLinalg:
@@ -276,77 +270,6 @@ class TestSoftmax:
             x.copy(),
         )
         np.testing.assert_allclose(t.grad, want, rtol=1e-5, atol=1e-8)
-
-
-# uneven runs of rows: a length-1 run and a run of MAX_LEN among them
-MAX_LEN = 6
-LENGTHS = np.array([2, 1, MAX_LEN, 3, 1])
-STARTS = np.cumsum(LENGTHS) - LENGTHS
-
-
-def _np_segment_softmax(x):
-    out = np.empty_like(x)
-    for s, n in zip(STARTS, LENGTHS):
-        e = np.exp(x[s : s + n] - x[s : s + n].max())
-        out[s : s + n] = e / e.sum()
-    return out
-
-
-class TestSegments:
-    def test_segment_sum_grad(self):
-        x = RNG.normal(size=(LENGTHS.sum(), 3))
-        w = RNG.normal(size=(LENGTHS.size, 3))
-        t = Tensor(x.copy(), requires_grad=True)
-        out = t.segment_sum(STARTS)
-        want_out = np.stack([x[s : s + n].sum(axis=0) for s, n in zip(STARTS, LENGTHS)])
-        np.testing.assert_allclose(out.data, want_out, rtol=1e-12, atol=1e-12)
-        (out * Tensor(w)).sum().backward()
-        f = lambda a: float((np.add.reduceat(a, STARTS, axis=0) * w).sum())
-        np.testing.assert_allclose(t.grad, numeric_grad(f, x.copy()), rtol=1e-6, atol=1e-8)
-
-    def test_repeat_rows_grad(self):
-        x = RNG.normal(size=(LENGTHS.size, 3))
-        w = RNG.normal(size=(LENGTHS.sum(), 3))
-        t = Tensor(x.copy(), requires_grad=True)
-        out = t.repeat_rows(LENGTHS)
-        np.testing.assert_array_equal(out.data, np.repeat(x, LENGTHS, axis=0))
-        (out * Tensor(w)).sum().backward()
-        f = lambda a: float((np.repeat(a, LENGTHS, axis=0) * w).sum())
-        np.testing.assert_allclose(t.grad, numeric_grad(f, x.copy()), rtol=1e-6, atol=1e-8)
-
-    def test_segment_softmax_grad(self):
-        x = RNG.normal(size=LENGTHS.sum()) * 3
-        w = RNG.normal(size=LENGTHS.sum())
-        t = Tensor(x.copy(), requires_grad=True)
-        out = t.segment_softmax(STARTS)
-        np.testing.assert_allclose(out.data, _np_segment_softmax(x), rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(np.add.reduceat(out.data, STARTS), 1.0, atol=1e-12)
-        (out * Tensor(w)).sum().backward()
-        f = lambda a: float((_np_segment_softmax(a) * w).sum())
-        np.testing.assert_allclose(t.grad, numeric_grad(f, x.copy()), rtol=1e-5, atol=1e-8)
-
-    def test_length_one_run_is_exactly_one_with_zero_grad(self):
-        x = RNG.normal(size=LENGTHS.sum()) * 50
-        t = Tensor(x.copy(), requires_grad=True)
-        out = t.segment_softmax(STARTS)
-        single = STARTS[LENGTHS == 1]
-        np.testing.assert_array_equal(out.data[single], 1.0)
-        (out * Tensor(RNG.normal(size=x.size))).sum().backward()
-        np.testing.assert_array_equal(t.grad[single], 0.0)
-
-    def test_repeat_rows_and_segment_sum_are_transposes(self):
-        # <repeat(a), b> == <a, segsum(b)>, and each one's backward is the other
-        a = RNG.normal(size=(LENGTHS.size, 4))
-        b = RNG.normal(size=(LENGTHS.sum(), 4))
-        lhs = float((Tensor(a).repeat_rows(LENGTHS).data * b).sum())
-        rhs = float((a * Tensor(b).segment_sum(STARTS).data).sum())
-        assert lhs == pytest.approx(rhs, rel=1e-12)
-        ta = Tensor(a.copy(), requires_grad=True)
-        (ta.repeat_rows(LENGTHS) * Tensor(b)).sum().backward()
-        np.testing.assert_array_equal(ta.grad, Tensor(b).segment_sum(STARTS).data)
-        tb = Tensor(b.copy(), requires_grad=True)
-        (tb.segment_sum(STARTS) * Tensor(a)).sum().backward()
-        np.testing.assert_array_equal(tb.grad, Tensor(a).repeat_rows(LENGTHS).data)
 
 
 class TestGraphStructure:
@@ -549,9 +472,9 @@ class TestFiniteDifferenceCheck:
 
         def objective():
             def backward(g):
-                x._accum(g * 2.0)  # claims slope 2, real slope 3
+                x.accum(g * 2.0)  # claims slope 2, real slope 3
 
-            return Tensor._make(x.data * 3.0, (x,), backward).sum()
+            return Tensor.record(x.data * 3.0, (x,), backward).sum()
 
         report = finite_difference_check(objective, {"x": x})
         assert not report.ok(1e-4)

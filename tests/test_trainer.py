@@ -5,6 +5,8 @@ import importlib
 import json
 import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -586,3 +588,39 @@ class TestCheckpoint:
         for k, arr in pa.named().items():
             np.testing.assert_array_equal(arr, pc.named()[k])
         assert aa.step == ac.step
+
+
+# three Adam steps at d=64, K=100; prints a digest of every parameter's bytes
+_STEPS = """
+import hashlib
+from proxyrec.data import expand_all
+from proxyrec.synth import planted_corpus
+from proxyrec.trainer import AdamState, TrainConfig, init_model, make_leaves, train_epoch
+cfg = TrainConfig(embed_dim=64, proxy_count=100, batch_size=128)
+instances = expand_all(planted_corpus(sessions_per_user=10), "repeat")[: 3 * cfg.batch_size]
+params = init_model(500, cfg)
+train_epoch(instances, params, make_leaves(params), AdamState.zeros(params.named()), cfg, 0, 1.0)
+print(hashlib.sha256(b"".join(a.tobytes() for a in params.named().values())).hexdigest())
+"""
+
+
+_USABLE_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+@pytest.mark.skipif((_USABLE_CORES or 1) < 2, reason="needs 2 usable cores")
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 5: OpenBLAS splits the weight-gradient GEMMs by thread count",
+)
+def test_blas_thread_count_does_not_change_the_trained_bytes():
+    src = str(Path(trainer_module.__file__).parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", _STEPS], env=env, capture_output=True, text=True,
+            timeout=300, check=True,
+        )
+        digests.append(run.stdout.strip())
+    assert digests[0] == digests[1]
