@@ -28,25 +28,33 @@ Under no_grad(), or when no input requires a gradient, an op records
 nothing: its output keeps neither inputs nor closure, and is freed with its
 last reference.
 
-Tensor.record(data, inputs, backward) is how an op records itself, and the
-one way to add an op outside this module; its closure hands an input a
-fresh gradient array through Tensor.accum. A fixed chain of numpy work can
-so become a single op whose closure is a hand-written vector-Jacobian
-product: selector.selection_logits and encoder.encode_prefixes are such
-block ops. A block closure keeps only the arrays its product reads, and
-hands each input the gradient, in the order, that the chain's own ops
-would have.
-
-add_rows is the row sum shared by gather's backward and the block ops: the
-contributions to each table row, summed in index order with one weighted
-np.bincount. When the index has fewer entries than the table has rows, the
-gradient is row-sparse: the sums go into a block of just the distinct rows
-the index names, which is then added into those rows of the table's
-gradient, and a batch that gathers a few rows of a large table pays for
-those rows, plus the table's own gradient array. Otherwise the table is
-small next to the index: the sums cover the whole table, with no np.unique,
-and the block is added into the whole gradient. Both forms sum each row in
-the same order, so they give the same bits.
+An op outside this module is written with four calls:
+  * Tensor.record(data, inputs, backward) returns the output, which keeps
+    inputs and the closure backward(g) only while recording.
+  * Tensor.accum(g), in the closure, hands an input a fresh gradient array.
+  * Tensor.accum_rows(index, g), in the closure, hands a table input the
+    gradient of table[index]: each row's contributions, summed in index
+    order with one weighted np.bincount. An index shorter than the table is
+    row-sparse: it sums into a block of just the distinct rows it names,
+    added into those rows of the table's gradient, so a batch that gathers
+    a few rows of a large table pays for those rows (plus the gradient
+    array). A longer index sums over the whole table with no np.unique.
+    Both forms sum each row in the same order, so they give the same bits.
+  * kink(pre), in the forward, hands a kinked pre-activation to the
+    module-level kink_hook, when it is set, before the op overwrites it in
+    place; a hook copies what it keeps. relu and abs call it too. A
+    finite-difference checker uses it to skip coordinates whose
+    perturbation lands on or crosses a kink, where there is no two-sided
+    derivative to agree with.
+accum and accum_rows do nothing for an input that requires no gradient, so a
+closure hands every input its share without asking. (The two-input ops
+below still ask before they compute an operand's share, so a coerced
+constant such as a margin or a temperature costs no product.) A fixed chain
+of numpy work can so become a single op whose closure is a hand-written
+vector-Jacobian product: selector.selection_logits and
+encoder.encode_prefixes are such block ops. A block closure keeps only the
+arrays its product reads, and hands each input the gradient, in the order,
+that the chain's own ops would have.
 
 Conventions:
   * storage is always float64; inputs are coerced on construction
@@ -58,13 +66,6 @@ Conventions:
   * matmul takes the two shapes the model records, (n, k) @ (k, m) and
     (n, k) @ (k,); sum() adds every element; l2norm, inner, sq_dist and
     softmax reduce the last axis
-
-When the module-level kink_hook is set, relu and abs call it with their
-pre-activation array, and each block op with each of its kinked
-pre-activations, in call order, before it overwrites them in place; a hook
-copies what it keeps. A finite-difference checker uses it to skip
-coordinates whose perturbation lands on or crosses a kink, where there is no
-two-sided derivative to agree with.
 """
 
 from __future__ import annotations
@@ -75,12 +76,17 @@ import numpy as np
 
 from .errors import GradientError, ShapeError
 
-__all__ = ["Tensor", "add_rows", "no_grad"]
+__all__ = ["Tensor", "kink", "no_grad"]
 
 _grad_enabled = True
-# called with every kinked pre-activation array: relu's, abs's and the block
-# ops' (selector.selection_logits, encoder.encode_prefixes)
+# called by kink with every kinked pre-activation array
 kink_hook = None
+
+
+def kink(pre: np.ndarray) -> None:
+    """Report a kinked pre-activation to kink_hook, when it is set."""
+    if kink_hook is not None:
+        kink_hook(pre)
 
 
 @contextlib.contextmanager
@@ -113,40 +119,6 @@ def _last_axis(grad: np.ndarray, shape: tuple[int, ...], keepdims: bool = False)
     return np.broadcast_to(grad if keepdims else grad[..., None], shape)
 
 
-def add_rows(grad: np.ndarray | None, index: np.ndarray, g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """The vector-Jacobian product of table[index] for a table of shape:
-    entry i of g (index.shape + row shape) is summed into row index[i],
-    each row's entries in index order, and the sums are added into grad.
-
-    grad is the table's gradient so far, or None for none yet; it is
-    updated in place and returned. An index with fewer entries than the
-    table has rows sums into a block of just the rows it names, added into
-    those rows of grad; a longer one sums over the whole table, with no
-    np.unique. Both give the same bits.
-    """
-    n_rows, row_shape = shape[0], shape[1:]
-    # a negative index names the same row as its positive form
-    block_rows = index % n_rows
-    sparse = index.size < n_rows
-    if sparse:
-        rows, block_rows = np.unique(block_rows, return_inverse=True)
-        n_rows = rows.size
-    width = int(np.prod(row_shape))
-    # bincount sums each slot in index order, as np.add.at would
-    slots = (block_rows.reshape(-1, 1) * width + np.arange(width)).ravel()
-    block = np.bincount(slots, weights=g.reshape(-1), minlength=n_rows * width)
-    block = block.reshape((n_rows,) + row_shape)
-    if not sparse:
-        if grad is None:
-            return block
-        grad += block
-        return grad
-    if grad is None:
-        grad = np.zeros(shape)
-    grad[rows] += block
-    return grad
-
-
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev", "__weakref__")
 
@@ -174,7 +146,10 @@ class Tensor:
 
     def accum(self, g: np.ndarray) -> None:
         """Add g, a temporary made for this call alone, into .grad; a first
-        gradient is kept as it is."""
+        gradient is kept as it is. Does nothing when no gradient is
+        required."""
+        if not self.requires_grad:
+            return
         if self.grad is None:
             # a 0-d result comes back as a numpy scalar
             self.grad = g if type(g) is np.ndarray else np.array(g)
@@ -182,12 +157,36 @@ class Tensor:
             self.grad += g
 
     def _accum_copy(self, g: np.ndarray) -> None:
-        """Add g, which may be shared or read-only, into .grad; a first
-        gradient is copied."""
+        """accum for a g that may be shared or read-only: a first gradient
+        is a copy of it."""
+        self.accum(np.array(g) if self.grad is None else g)
+
+    def accum_rows(self, index: np.ndarray, g: np.ndarray) -> None:
+        """Add the vector-Jacobian product of self[index] into .grad: entry
+        i of g (index.shape + row shape) is summed into row index[i], each
+        row's entries in index order; row-sparse when the index is shorter
+        than the table. Does nothing when no gradient is required."""
+        if not self.requires_grad:
+            return
+        shape = self.data.shape
+        n_rows, row_shape = shape[0], shape[1:]
+        # a negative index names the same row as its positive form
+        block_rows = index % n_rows
+        sparse = index.size < n_rows
+        if sparse:
+            rows, block_rows = np.unique(block_rows, return_inverse=True)
+            n_rows = rows.size
+        width = int(np.prod(row_shape))
+        # bincount sums each slot in index order, as np.add.at would
+        slots = (block_rows.reshape(-1, 1) * width + np.arange(width)).ravel()
+        block = np.bincount(slots, weights=g.reshape(-1), minlength=n_rows * width)
+        block = block.reshape((n_rows,) + row_shape)
+        if not sparse:
+            self.accum(block)
+            return
         if self.grad is None:
-            self.grad = np.array(g)
-        else:
-            self.grad += g
+            self.grad = np.zeros(shape)
+        self.grad[rows] += block
 
     @property
     def shape(self):
@@ -228,8 +227,7 @@ class Tensor:
         a = self
 
         def backward(g):
-            if a.requires_grad:
-                a.accum(-g)
+            a.accum(-g)
 
         return Tensor.record(-a.data, (a,), backward)
 
@@ -311,8 +309,7 @@ class Tensor:
         a = self
 
         def backward(g):
-            if a.requires_grad:
-                a._accum_copy(g.reshape(a.data.shape))
+            a._accum_copy(g.reshape(a.data.shape))
 
         return Tensor.record(a.data.reshape(shape), (a,), backward)
 
@@ -320,7 +317,7 @@ class Tensor:
         """Select rows along axis 0 with an integer index array of any shape.
 
         Each row's gradient sums its contributions in index order, through
-        add_rows.
+        accum_rows.
         """
         idx = np.asarray(index)
         if idx.dtype.kind not in "iu":
@@ -328,8 +325,7 @@ class Tensor:
         a = self
 
         def backward(g):
-            if a.requires_grad:
-                a.grad = add_rows(a.grad, idx, g, a.data.shape)
+            a.accum_rows(idx, g)
 
         return Tensor.record(a.data[idx], (a,), backward)
 
@@ -340,8 +336,7 @@ class Tensor:
         a = self
 
         def backward(g):
-            if a.requires_grad:
-                a._accum_copy(np.broadcast_to(g, a.data.shape))
+            a._accum_copy(np.broadcast_to(g, a.data.shape))
 
         return Tensor.record(a.data.sum(), (a,), backward)
 
@@ -351,11 +346,10 @@ class Tensor:
         norm = np.sqrt((a.data * a.data).sum(axis=-1, keepdims=keepdims))
 
         def backward(g):
-            if a.requires_grad:
-                shape = a.data.shape
-                n = _last_axis(norm, shape, keepdims)
-                # guard the 0/0 cusp; the true subgradient there is taken as 0
-                a.accum(_last_axis(g, shape, keepdims) * a.data / np.maximum(n, 1e-300))
+            shape = a.data.shape
+            n = _last_axis(norm, shape, keepdims)
+            # guard the 0/0 cusp; the true subgradient there is taken as 0
+            a.accum(_last_axis(g, shape, keepdims) * a.data / np.maximum(n, 1e-300))
 
         return Tensor.record(norm, (a,), backward)
 
@@ -400,23 +394,19 @@ class Tensor:
 
     def relu(self):
         a = self
-        if kink_hook is not None:
-            kink_hook(a.data)
+        kink(a.data)
 
         def backward(g):
-            if a.requires_grad:
-                a.accum(g * (a.data > 0.0))
+            a.accum(g * (a.data > 0.0))
 
         return Tensor.record(np.maximum(a.data, 0.0), (a,), backward)
 
     def abs(self):
         a = self
-        if kink_hook is not None:
-            kink_hook(a.data)
+        kink(a.data)
 
         def backward(g):
-            if a.requires_grad:
-                a.accum(g * np.sign(a.data))
+            a.accum(g * np.sign(a.data))
 
         return Tensor.record(np.abs(a.data), (a,), backward)
 
@@ -428,8 +418,7 @@ class Tensor:
         y = e / e.sum(axis=-1, keepdims=True)
 
         def backward(g):
-            if a.requires_grad:
-                a.accum(y * (g - (g * y).sum(axis=-1, keepdims=True)))
+            a.accum(y * (g - (g * y).sum(axis=-1, keepdims=True)))
 
         return Tensor.record(y, (a,), backward)
 

@@ -89,6 +89,8 @@ def read_config_file(path: str) -> list[tuple[str, str, str]]:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}")
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -203,6 +205,9 @@ def cmd_prepare(args) -> int:
         for name, floor in floors.items()
         if getattr(args, name) < floor
     ]
+    if 0 < args.max_session_len < args.min_session_len:
+        problems.append(f"--max-session-len {args.max_session_len} is below "
+                        f"--min-session-len {args.min_session_len}: no session can pass")
     if args.delimiter == "":
         problems.append("--delimiter must not be empty")
     try:

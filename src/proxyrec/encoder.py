@@ -28,12 +28,14 @@ encode_prefixes is one recorded op (autodiff.Tensor.record), from its
 gathers to the head's output. Its forward evaluates the math above in
 numpy with the expressions, and in the order, of the chain of autodiff ops
 it stands for (gather, matmul, relu, a per-run softmax and sum), so it gives
-their bits. Its hand-written vector-Jacobian product hands each input the
-gradient that chain would, in the same order. The packed rows x
-receive three contributions: the attention-weighted run sum's, the key
-matmul's, then the row-sparse add of the last rows' gradient
-(autodiff.add_rows). The last rows receive the residual's gradient, then
-the query matmul's. The op keeps x, the relu outputs (their masks are read
+their bits, and reports each relu's pre-activation to autodiff.kink. Its
+hand-written vector-Jacobian product hands each input the gradient that
+chain would, in the same order. The packed rows x receive three
+contributions: the attention-weighted run sum's, the key matmul's, then the
+last rows' gradient, added in place (each run has one last row, so no row
+repeats). The last rows receive the residual's gradient, then the query
+matmul's. The items and positional tables take x's gradient through
+Tensor.accum_rows. The op keeps x, the relu outputs (their masks are read
 off them) and the attention weights, plus the (B, d) last rows and residual
 sums, and under no_grad nothing.
 """
@@ -42,8 +44,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, add_rows
-from .selector import _kink, _packed
+from .autodiff import Tensor, kink
+from .selector import _packed
 
 
 def attention(x: np.ndarray, last: np.ndarray, starts, lengths, wq: np.ndarray, wk: np.ndarray):
@@ -51,10 +53,10 @@ def attention(x: np.ndarray, last: np.ndarray, starts, lengths, wq: np.ndarray, 
     rows of x (T, d); runs start at starts, lengths long. Returns the query
     rows q (B, d), the key rows k (T, d) and the attention weights (T,)."""
     q = np.matmul(last, wq)
-    _kink(q)
+    kink(q)
     np.maximum(q, 0.0, out=q)
     k = np.matmul(x, wk)
-    _kink(k)
+    kink(k)
     np.maximum(k, 0.0, out=k)
     rows = np.repeat(q, lengths, axis=0)
     rows *= k
@@ -84,22 +86,18 @@ def encode_prefixes(prefixes, leaves: dict[str, Tensor]) -> Tensor:
     z += last  # residual
     h = np.matmul(z, w1.data)
     h += b1.data
-    _kink(h)
+    kink(h)
     np.maximum(h, 0.0, out=h)
 
     def backward(g):
         # the head, then the residual: last's gradient starts as z's
-        if b2.requires_grad:
-            b2.accum(g.sum(axis=0))
+        b2.accum(g.sum(axis=0))
         g_h = np.matmul(g, w2.data.T)
-        if w2.requires_grad:
-            w2.accum(np.matmul(h.T, g))
+        w2.accum(np.matmul(h.T, g))
         np.multiply(g_h, h > 0.0, out=g_h)
-        if b1.requires_grad:
-            b1.accum(g_h.sum(axis=0))
+        b1.accum(g_h.sum(axis=0))
         g_last = np.matmul(g_h, w1.data.T)
-        if w1.requires_grad:
-            w1.accum(np.matmul(z.T, g_h))
+        w1.accum(np.matmul(z.T, g_h))
         # x's first gradient: the attention-weighted run sum
         g_x = np.repeat(g_last, lengths, axis=0)
         g_att = np.multiply(g_x, x).sum(axis=1)
@@ -114,22 +112,18 @@ def encode_prefixes(prefixes, leaves: dict[str, Tensor]) -> Tensor:
         g_k *= g_att
         np.multiply(g_k, k > 0.0, out=g_k)
         g_x += np.matmul(g_k, wk.data.T)
-        if wk.requires_grad:
-            wk.accum(np.matmul(x.T, g_k))
+        wk.accum(np.matmul(x.T, g_k))
         # last's second gradient: the query matmul; the walk runs this
         # closure once, so k's rows can hold their products with g_att
         np.multiply(k, g_att, out=k)
         g_q = np.add.reduceat(k, starts, axis=0)
         np.multiply(g_q, q > 0.0, out=g_q)
         g_last += np.matmul(g_q, wq.data.T)
-        if wq.requires_grad:
-            wq.accum(np.matmul(last.T, g_q))
+        wq.accum(np.matmul(last.T, g_q))
         # x's third gradient: the gather of each run's last row
-        g_x = add_rows(g_x, last_rows, g_last, x.shape)
-        if items.requires_grad:
-            items.grad = add_rows(items.grad, ids, g_x, items.data.shape)
-        if pos.requires_grad:
-            pos.grad = add_rows(pos.grad, reverse, g_x, pos.data.shape)
+        g_x[last_rows] += g_last
+        items.accum_rows(ids, g_x)
+        pos.accum_rows(reverse, g_x)
 
     out = np.matmul(h, w2.data)
     out += b2.data

@@ -23,12 +23,12 @@ table.
 
 selection_logits is one recorded op (autodiff.Tensor.record). Its forward
 evaluates the chain above in numpy with the expressions, and in the order,
-of the autodiff ops it stands for, so it gives their bits. Its hand-written
-vector-Jacobian product walks the chain back: W2, the per-run mean, the
-leaky relu's slope, W1, then the item and positional row sums
-(autodiff.add_rows). It keeps only the packed rows, a boolean mask of the
-entries above the kink, and the per-run means; under no_grad it keeps
-nothing.
+of the autodiff ops it stands for, so it gives their bits, and reports the
+hidden pre-activation to autodiff.kink. Its hand-written vector-Jacobian
+product walks the chain back: W2, the per-run mean, the leaky relu's slope,
+W1, then the item and positional row sums (Tensor.accum_rows). It keeps
+only the packed rows, a boolean mask of the entries above the kink, and the
+per-run means; under no_grad it keeps nothing.
 
 The caller's strict flag picks the regime: during training (non-strict) the
 distribution is computed from the whole parent session, including the items
@@ -45,8 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff
-from .autodiff import Tensor, add_rows
+from .autodiff import Tensor, kink
 from .errors import ConfigError, DegenerateProxyError, LengthError
 
 EPS = 1e-12
@@ -99,12 +98,6 @@ def _packed(seqs, max_rows: int, what: str):
     return ids, np.arange(total) - np.repeat(starts, lengths), lengths, starts
 
 
-def _kink(pre: np.ndarray) -> None:
-    """Hand a kinked pre-activation to autodiff.kink_hook, when it is set."""
-    if autodiff.kink_hook is not None:
-        autodiff.kink_hook(pre)
-
-
 def _leaky_slopes(above: np.ndarray) -> np.ndarray:
     """The leaky relu's slope, 1.0 where above and 0.1 elsewhere. Both are
     exact (0.9 + 0.1 rounds to 1.0), so a product with them has the bits of
@@ -123,7 +116,7 @@ def selection_logits(item_lists, leaves: dict[str, Tensor]) -> Tensor:
     x = items.data[ids]
     x += pos.data[positions]
     h = np.matmul(x, w1.data)
-    _kink(h)
+    kink(h)
     # h > 0 rather than not h <= 0, so a nan takes the slope 0.1
     above = h > 0.0
     h *= _leaky_slopes(above)
@@ -132,19 +125,15 @@ def selection_logits(item_lists, leaves: dict[str, Tensor]) -> Tensor:
     mean_h /= counts
 
     def backward(g):
-        if w2.requires_grad:
-            w2.accum(np.matmul(mean_h.T, g))
+        w2.accum(np.matmul(mean_h.T, g))
         g_mean = np.matmul(g, w2.data.T)
         g_mean /= counts
         g_h = np.repeat(g_mean, lengths, axis=0)
         g_h *= _leaky_slopes(above)
-        if w1.requires_grad:
-            w1.accum(np.matmul(x.T, g_h))
+        w1.accum(np.matmul(x.T, g_h))
         g_x = np.matmul(g_h, w1.data.T)
-        if items.requires_grad:
-            items.grad = add_rows(items.grad, ids, g_x, items.data.shape)
-        if pos.requires_grad:
-            pos.grad = add_rows(pos.grad, positions, g_x, pos.data.shape)
+        items.accum_rows(ids, g_x)
+        pos.accum_rows(positions, g_x)
 
     return Tensor.record(np.matmul(mean_h, w2.data), inputs, backward)
 

@@ -3,7 +3,8 @@
 finite_difference_check() compares analytic gradients against central
 differences, skipping coordinates whose perturbation lands on or crosses an
 activation kink (those points have no two-sided derivative to agree with).
-KinkRecorder finds the kinks through autodiff.kink_hook.
+KinkRecorder finds the kinks through autodiff.kink_hook, which every kinked
+op reaches through autodiff.kink.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from proxyrec.autodiff import Tensor, no_grad
 class KinkRecorder:
     """Collects copies of the kinked pre-activation arrays that relu, abs and
     the block ops (the selector's leaky relu; the encoder's query, key and
-    head relus) hand to autodiff.kink_hook.
+    head relus) report through autodiff.kink, which hands each to
+    autodiff.kink_hook.
 
     Used as a context manager around a forward evaluation. Two evaluations of
     the same deterministic graph produce aligned lists, which lets the

@@ -369,6 +369,19 @@ class TestGraphStructure:
             out = (t * 2).sum()
         assert not out.requires_grad and out._prev == ()
 
+    def test_accumulating_into_a_tensor_that_needs_no_gradient_does_nothing(self):
+        # a block closure hands every input its share; one that needs no
+        # gradient keeps none, whichever call hands it
+        t = Tensor(np.ones((5, 2)))
+        for hand in (
+            lambda: t.accum(np.ones((5, 2))),
+            lambda: t._accum_copy(np.ones((5, 2))),
+            lambda: t.accum_rows(np.array([0, 4, 0]), np.ones((3, 2))),  # row-sparse
+            lambda: t.accum_rows(np.arange(6) % 5, np.ones((6, 2))),  # dense
+        ):
+            hand()
+            assert t.grad is None
+
 
 class TestAdoptedGradients:
     """A closure keeps a first gradient without copying only when it made

@@ -145,6 +145,26 @@ def test_block_reports_each_kinked_preactivation(name, shapes):
 
 
 @pytest.mark.parametrize("name", BLOCKS)
+def test_frozen_inputs_keep_no_gradient_and_leave_the_others_bit_equal(name):
+    block, make, width = BLOCKS[name]
+    rng = np.random.default_rng(11)
+    live = make(rng)
+    weight = rng.normal(size=(len(SEQS), width))
+    weighted_sum(block, live, weight)().backward()
+    tables = [n for n in live if n == "items" or n.endswith("_pos")]
+    for table in tables:
+        for frozen_weight in (n for n in live if n not in tables):
+            frozen = {table, frozen_weight}
+            leaves = {n: Tensor(t.data, requires_grad=n not in frozen) for n, t in live.items()}
+            weighted_sum(block, leaves, weight)().backward()
+            for n, t in leaves.items():
+                if n in frozen:
+                    assert t.grad is None, (n, frozen)
+                else:
+                    assert t.grad.tobytes() == live[n].grad.tobytes(), (n, frozen)
+
+
+@pytest.mark.parametrize("name", BLOCKS)
 def test_no_grad_records_nothing_and_computes_the_same_bits(name):
     block, make, _ = BLOCKS[name]
     leaves = make(np.random.default_rng(9))

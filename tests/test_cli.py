@@ -189,6 +189,24 @@ def test_prepare_rejects_unusable_flags_at_once(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--max-session-len", "1"],
+    ["--max-session-len", "3", "--min-session-len", "5", "--drop-over-length"],
+])
+def test_prepare_rejects_a_length_cap_below_the_floor(tmp_path, capsys, flags):
+    # no session could be both at most the cap and at least the floor long,
+    # so this is a flag problem, found before the log is parsed
+    log = tmp_path / "log.tsv"
+    log.write_text("u1\ta\t100\nu1\tb\t101\nu1\tc\t102\n", encoding="utf-8")
+    out = tmp_path / "x"
+    rc = main(["prepare", "--input", str(log), "--out-dir", str(out)] + flags)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "1 configuration problem(s)" in err
+    assert "--max-session-len" in err and "--min-session-len" in err
+    assert not out.exists()
+
+
 def test_prepare_reports_a_zero_session_floor_with_the_other_problems(tmp_path, capsys):
     # the flags are checked before they build a FilterConfig, which would
     # raise on a floor below 1 by itself
@@ -359,6 +377,14 @@ def test_train_env_seed_applies(prepared, capsys, monkeypatch):
     assert rc == 0
     capsys.readouterr()
     assert "seed = 31" in (out / "config.resolved").read_text()
+
+
+def test_train_config_path_naming_a_directory_exits_1(prepared, capsys):
+    tmp_path, data, _ = prepared
+    rc = main(["train", "--data", str(data), "--out-dir", str(tmp_path / "x"),
+               "--config", str(tmp_path)])
+    assert rc == 1
+    assert str(tmp_path) in capsys.readouterr().err
 
 
 def test_train_rejects_bad_config_with_exit_1(prepared, capsys):
