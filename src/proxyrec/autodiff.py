@@ -24,9 +24,9 @@ gradient array. A kept first gradient may hold a -0.0 where a copy made with
 + 0.0 would not; that sign cannot reach a leaf whose gradient buffer starts
 at +0.0, because +0.0 + -0.0 is +0.0.
 
-Under no_grad(), or when no input requires a gradient, an op records
-nothing: its output keeps neither inputs nor closure, and is freed with its
-last reference.
+An op records only when one of its inputs requires a gradient. Otherwise
+its output keeps neither inputs nor closure and is freed with its last
+reference, so a forward over leaves that need none records nothing.
 
 An op outside this module is written with four calls:
   * Tensor.record(data, inputs, backward) returns the output, which keeps
@@ -70,15 +70,14 @@ Conventions:
 
 from __future__ import annotations
 
-import contextlib
+import operator
 
 import numpy as np
 
 from .errors import GradientError, ShapeError
 
-__all__ = ["Tensor", "kink", "no_grad"]
+__all__ = ["Tensor", "kink"]
 
-_grad_enabled = True
 # called by kink with every kinked pre-activation array
 kink_hook = None
 
@@ -87,18 +86,6 @@ def kink(pre: np.ndarray) -> None:
     """Report a kinked pre-activation to kink_hook, when it is set."""
     if kink_hook is not None:
         kink_hook(pre)
-
-
-@contextlib.contextmanager
-def no_grad():
-    """Run forward computations without recording backward closures."""
-    global _grad_enabled
-    saved = _grad_enabled
-    _grad_enabled = False
-    try:
-        yield
-    finally:
-        _grad_enabled = saved
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -125,7 +112,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
-        self.requires_grad = bool(requires_grad) and _grad_enabled
+        self.requires_grad = bool(requires_grad)
         self._backward = None
         self._prev: tuple[Tensor, ...] = ()
 
@@ -134,11 +121,11 @@ class Tensor:
     @staticmethod
     def record(data: np.ndarray, prev: tuple["Tensor", ...], backward) -> "Tensor":
         """The output of one op over the inputs prev. backward(g) routes the
-        output gradient g to prev and is kept only while recording: under
-        no_grad, or when no input requires a gradient, the output holds
-        neither, and whatever backward captured is freed with it."""
+        output gradient g to prev and is kept only while recording: when no
+        input requires a gradient, the output holds neither, and whatever
+        backward captured is freed with it."""
         out = Tensor(data)
-        if _grad_enabled and any(p.requires_grad for p in prev):
+        if any(p.requires_grad for p in prev):
             out.requires_grad = True
             out._prev = prev
             out._backward = backward
@@ -201,17 +188,18 @@ class Tensor:
 
     # -- arithmetic ------------------------------------------------------
 
-    @staticmethod
-    def _coerce(x) -> "Tensor":
-        return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+    def _operand(self, other, name: str, forward):
+        """other as a Tensor, and forward(self.data, other.data); shapes that
+        do not broadcast raise ShapeError naming the op."""
+        other = other if isinstance(other, Tensor) else Tensor(other)
+        try:
+            return other, forward(self.data, other.data)
+        except ValueError:
+            raise ShapeError(f"{name}: shapes {self.data.shape} and {other.data.shape} do not broadcast")
 
     def __add__(self, other):
-        other = Tensor._coerce(other)
-        try:
-            data = self.data + other.data
-        except ValueError:
-            raise ShapeError(f"add: shapes {self.data.shape} and {other.data.shape} do not broadcast")
-        a, b = self, other
+        a = self
+        b, data = a._operand(other, "add", operator.add)
 
         def backward(g):
             if a.requires_grad:
@@ -232,12 +220,8 @@ class Tensor:
         return Tensor.record(-a.data, (a,), backward)
 
     def __sub__(self, other):
-        other = Tensor._coerce(other)
-        try:
-            data = self.data - other.data
-        except ValueError:
-            raise ShapeError(f"sub: shapes {self.data.shape} and {other.data.shape} do not broadcast")
-        a, b = self, other
+        a = self
+        b, data = a._operand(other, "sub", operator.sub)
 
         def backward(g):
             if a.requires_grad:
@@ -248,12 +232,8 @@ class Tensor:
         return Tensor.record(data, (a, b), backward)
 
     def __mul__(self, other):
-        other = Tensor._coerce(other)
-        try:
-            data = self.data * other.data
-        except ValueError:
-            raise ShapeError(f"mul: shapes {self.data.shape} and {other.data.shape} do not broadcast")
-        a, b = self, other
+        a = self
+        b, data = a._operand(other, "mul", operator.mul)
 
         def backward(g):
             if a.requires_grad:
@@ -266,12 +246,8 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = Tensor._coerce(other)
-        try:
-            data = self.data / other.data
-        except ValueError:
-            raise ShapeError(f"div: shapes {self.data.shape} and {other.data.shape} do not broadcast")
-        a, b = self, other
+        a = self
+        b, data = a._operand(other, "div", operator.truediv)
 
         def backward(g):
             if a.requires_grad:
@@ -284,8 +260,8 @@ class Tensor:
     # -- linear algebra ---------------------------------------------------
 
     def __matmul__(self, other):
-        other = Tensor._coerce(other)
-        a, b = self, other
+        a = self
+        b = other if isinstance(other, Tensor) else Tensor(other)
         ad, bd = a.data, b.data
         if ad.ndim != 2 or bd.ndim not in (1, 2) or ad.shape[1] != bd.shape[0]:
             raise ShapeError(
@@ -355,12 +331,8 @@ class Tensor:
 
     def inner(self, other, keepdims: bool = False):
         """Inner product sum(a * b) over the last axis, with broadcasting."""
-        other = Tensor._coerce(other)
-        a, b = self, other
-        try:
-            prod = a.data * b.data
-        except ValueError:
-            raise ShapeError(f"inner: shapes {a.data.shape} and {b.data.shape} do not broadcast")
+        a = self
+        b, prod = a._operand(other, "inner", operator.mul)
         shape = prod.shape
 
         def backward(g):
@@ -374,12 +346,8 @@ class Tensor:
 
     def sq_dist(self, other):
         """Squared Euclidean distance sum((a-b)^2) over the last axis."""
-        other = Tensor._coerce(other)
-        a, b = self, other
-        try:
-            diff = a.data - b.data
-        except ValueError:
-            raise ShapeError(f"sq_dist: shapes {a.data.shape} and {b.data.shape} do not broadcast")
+        a = self
+        b, diff = a._operand(other, "sq_dist", operator.sub)
 
         def backward(g):
             g = 2.0 * diff * _last_axis(g, diff.shape)

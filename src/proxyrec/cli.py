@@ -328,8 +328,10 @@ def ablation_variants(base: TrainConfig) -> dict[str, TrainConfig]:
 
 def cmd_ablate(args) -> int:
     """Train every grid variant under one seed and tabulate test metrics."""
-    split, _ = read_split_manifest(args.data)
     base = resolve_config(args.config, _override_pairs(args))
+    if base.mode != "full":  # each variant sets its own mode from the full base
+        raise ConfigError(f"ablate needs mode = full, got mode = {base.mode!r}")
+    split, _ = read_split_manifest(args.data)
     known = pick_known_users(split, base)
 
     os.makedirs(args.out_dir, exist_ok=True)

@@ -11,6 +11,7 @@ reports the composed mapping for persistence.
 
 from __future__ import annotations
 
+import dataclasses
 import gzip
 import json
 import os
@@ -141,7 +142,10 @@ def load_interactions(
                         f"{path}: line {lineno}: expected {len(cols)} fields, got {len(parts)}"
                     )
                 row = dict(zip(cols, parts))
-                raw_item = row["item"]
+                raw_item, session_tag = row["item"], row.get("session")
+                if not raw_item or session_tag == "":  # None: no session column
+                    field = "session" if raw_item else "item"
+                    raise ParseError(f"{path}: line {lineno}: empty {field} field")
                 try:
                     ts = int(float(row["time"]))
                 except (ValueError, OverflowError):  # OverflowError: inf
@@ -153,7 +157,7 @@ def load_interactions(
                         item_id=item_map[raw_item],
                         timestamp=ts,
                         user_tag=row.get("user") or None,
-                        session_tag=row.get("session") or None,
+                        session_tag=session_tag,
                     )
                 )
     except (UnicodeDecodeError, EOFError, zlib.error) as exc:  # EOFError: truncated gzip
@@ -516,13 +520,7 @@ def write_split_manifest(
         "counts": {name: len(sessions) for name, sessions in parts.items()},
         "stats": stats,
         "ratios": list(ratios),
-        "filter": {
-            "min_item_count": filter_cfg.min_item_count,
-            "min_session_len": filter_cfg.min_session_len,
-            "max_session_len": filter_cfg.max_session_len,
-            "split_by_day": filter_cfg.split_by_day,
-            "drop_over_length": filter_cfg.drop_over_length,
-        },
+        "filter": dataclasses.asdict(filter_cfg),
         "files": dict(_SPLIT_FILES),
     }
     with open(os.path.join(out_dir, MANIFEST_FILE), "w", encoding="utf-8") as fh:

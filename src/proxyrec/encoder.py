@@ -37,7 +37,7 @@ repeats). The last rows receive the residual's gradient, then the query
 matmul's. The items and positional tables take x's gradient through
 Tensor.accum_rows. The op keeps x, the relu outputs (their masks are read
 off them) and the attention weights, plus the (B, d) last rows and residual
-sums, and under no_grad nothing.
+sums, and over leaves that need no gradient nothing.
 """
 
 from __future__ import annotations

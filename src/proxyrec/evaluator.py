@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, no_grad
+from .autodiff import Tensor
 from .data import TASKS, PredictionInstance
 from .errors import ConfigError, MetricError, NumericError
 from .scoring import (
@@ -88,23 +88,23 @@ def compute_ranks(
     if task not in TASKS:
         raise ConfigError(f"unknown task {task!r}; expected one of {TASKS}")
     items = params.items
+    # leaves that need no gradient: the forward records nothing
     leaves = {name: Tensor(arr) for name, arr in params.named().items()}
     table = catalog_table(items)
     x_max = float(table[:, -2].max())
     per_chunk = max(1, min(CHUNK_ROWS, CHUNK_ELEMENTS // items.shape[0]))
     targets = np.fromiter((i.target for i in instances), dtype=np.int64, count=len(instances))
     ranks = np.empty(len(instances), dtype=np.int64)
-    with no_grad():
-        for lo in range(0, len(instances), per_chunk):
-            where = slice(lo, lo + per_chunk)
-            chunk = instances[where]
-            bias_rows = params.bias_rows(chunk)
-            _, v, q = session_state(chunk, bias_rows, leaves, tau, mode, strict=True)
-            qd, vd = q.data, None if v is None else v.data
-            masks = [i.prefix for i in chunk] if task == "unseen" else None
-            scores = catalog_scores(qd, vd, table, mode, masks)
-            bands = TIE_BAND * (1.0 + (qd * qd).sum(axis=1) + x_max)
-            ranks[where] = _rank_rows(scores, targets[where], bands, qd, vd, items, mode)
+    for lo in range(0, len(instances), per_chunk):
+        where = slice(lo, lo + per_chunk)
+        chunk = instances[where]
+        bias_rows = params.bias_rows(chunk)
+        _, v, q = session_state(chunk, bias_rows, leaves, tau, mode, strict=True)
+        qd, vd = q.data, None if v is None else v.data
+        masks = [i.prefix for i in chunk] if task == "unseen" else None
+        scores = catalog_scores(qd, vd, table, mode, masks)
+        bands = TIE_BAND * (1.0 + (qd * qd).sum(axis=1) + x_max)
+        ranks[where] = _rank_rows(scores, targets[where], bands, qd, vd, items, mode)
     return ranks
 
 

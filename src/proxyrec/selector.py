@@ -28,7 +28,7 @@ hidden pre-activation to autodiff.kink. Its hand-written vector-Jacobian
 product walks the chain back: W2, the per-run mean, the leaky relu's slope,
 W1, then the item and positional row sums (Tensor.accum_rows). It keeps
 only the packed rows, a boolean mask of the entries above the kink, and the
-per-run means; under no_grad it keeps nothing.
+per-run means; over leaves that need no gradient it keeps nothing.
 
 The caller's strict flag picks the regime: during training (non-strict) the
 distribution is computed from the whole parent session, including the items

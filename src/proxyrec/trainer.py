@@ -190,10 +190,16 @@ def init_model(item_count: int, cfg: TrainConfig, user_tags: list[str] | None = 
     tags = list(user_tags or [])
     rng = np.random.default_rng([cfg.seed, _STREAM_INIT])
     bound = 1.0 / np.sqrt(cfg.embed_dim)
-    named = {
-        name: np.zeros(shape) if name in _ZERO_INIT else rng.uniform(-bound, bound, size=shape)
-        for name, shape in param_shapes(item_count, vars(cfg), len(tags)).items()
-    }
+    try:
+        named = {
+            name: np.zeros(shape) if name in _ZERO_INIT else rng.uniform(-bound, bound, size=shape)
+            for name, shape in param_shapes(item_count, vars(cfg), len(tags)).items()
+        }
+    except MemoryError:
+        raise ConfigError(
+            f"parameter tables for {item_count} items with embed_dim {cfg.embed_dim}, "
+            f"proxy_count {cfg.proxy_count} and max_len {cfg.max_len} do not fit in memory"
+        )
     named["items"][0] = 0.0
     params = ModelParams(named, tags)
     project_constraints(params)

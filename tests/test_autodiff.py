@@ -15,7 +15,7 @@ import pytest
 
 from gradcheck import KinkRecorder, finite_difference_check
 from proxyrec import autodiff as ad
-from proxyrec.autodiff import Tensor, no_grad
+from proxyrec.autodiff import Tensor
 from proxyrec.errors import GradientError, ShapeError
 
 RNG = np.random.default_rng(42)
@@ -348,14 +348,13 @@ class TestGraphStructure:
         with pytest.raises(GradientError):
             (t * 2).backward()
 
-    def test_no_grad_output_is_freed_without_a_collector(self):
-        x = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
+    def test_unrecorded_output_is_freed_without_a_collector(self):
+        x = Tensor(RNG.normal(size=(3, 4)))
         enabled = gc.isenabled()
         gc.disable()
         try:
-            with no_grad():
-                h = (x * 2.0).relu()
-                out = (h @ Tensor(RNG.normal(size=(4, 2)))).sum()
+            h = (x * 2.0).relu()
+            out = (h @ Tensor(RNG.normal(size=(4, 2)))).sum()
             probe = weakref.ref(h)
             del h, out
             assert probe() is None
@@ -363,10 +362,9 @@ class TestGraphStructure:
             if enabled:
                 gc.enable()
 
-    def test_no_grad_suppresses_recording(self):
-        t = Tensor(np.ones(3), requires_grad=True)
-        with no_grad():
-            out = (t * 2).sum()
+    def test_ops_over_inputs_that_need_no_gradient_record_nothing(self):
+        t = Tensor(np.ones(3))
+        out = (t * 2).sum()
         assert not out.requires_grad and out._prev == ()
 
     def test_accumulating_into_a_tensor_that_needs_no_gradient_does_nothing(self):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from gradcheck import KinkRecorder, finite_difference_check
-from proxyrec.autodiff import Tensor, no_grad
+from proxyrec.autodiff import Tensor
 from proxyrec.data import PredictionInstance
 from proxyrec.encoder import encode_prefixes
 from proxyrec.selector import selection_logits
@@ -86,8 +86,7 @@ def test_selector_kink_takes_the_slope():
     f = weighted_sum(selection_logits, leaves, weight)
     f().backward()
     analytic = leaves["sel_w1"].grad[0, 1]
-    with no_grad():
-        left, right = left_and_right_quotients(lambda: float(f().data), w1, (0, 1))
+    left, right = left_and_right_quotients(lambda: float(f().data), w1, (0, 1))
     assert analytic == pytest.approx(left, rel=1e-6)
     # the kink is real: the right derivative is ten times the left
     assert right == pytest.approx(10.0 * left, rel=1e-6)
@@ -113,10 +112,9 @@ def test_encoder_kinks_take_zero():
     f().backward()
     for name, index in kinks.items():
         assert leaves[name].grad[index] == 0.0, name
-        with no_grad():
-            left, right = left_and_right_quotients(
-                lambda: float(f().data), leaves[name].data, index
-            )
+        left, right = left_and_right_quotients(
+            lambda: float(f().data), leaves[name].data, index
+        )
         assert left == 0.0, name
         assert abs(right) > 1e-6, name
 
@@ -165,13 +163,12 @@ def test_frozen_inputs_keep_no_gradient_and_leave_the_others_bit_equal(name):
 
 
 @pytest.mark.parametrize("name", BLOCKS)
-def test_no_grad_records_nothing_and_computes_the_same_bits(name):
+def test_frozen_leaves_record_nothing_and_compute_the_same_bits(name):
     block, make, _ = BLOCKS[name]
     leaves = make(np.random.default_rng(9))
     recorded = block(SEQS, leaves)
     assert recorded.requires_grad and recorded._prev and recorded._backward is not None
-    with no_grad():
-        plain = block(SEQS, leaves)
+    plain = block(SEQS, {n: Tensor(t.data) for n, t in leaves.items()})
     assert not plain.requires_grad
     assert plain._prev == () and plain._backward is None
     assert plain.data.tobytes() == recorded.data.tobytes()

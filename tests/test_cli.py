@@ -387,6 +387,20 @@ def test_train_config_path_naming_a_directory_exits_1(prepared, capsys):
     assert str(tmp_path) in capsys.readouterr().err
 
 
+def test_train_with_tables_beyond_the_address_space_exits_1(prepared, capsys):
+    # 2**40 columns: the item table alone is past the 47-bit address space,
+    # so its draw fails without allocating
+    tmp_path, data, cfg = prepared
+    items = json.loads((data / "manifest.json").read_text())["item_count"]
+    rc = main(["train", "--data", str(data), "--out-dir", str(tmp_path / "x"),
+               "--config", str(cfg), "--set", "embed_dim=1099511627776"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert (f"{items} items with embed_dim 1099511627776, proxy_count 4 and max_len 50"
+            in err)
+
+
 def test_train_rejects_bad_config_with_exit_1(prepared, capsys):
     tmp_path, data, _ = prepared
     bad = tmp_path / "bad.cfg"
@@ -596,3 +610,20 @@ def test_ablate_grid_and_full_row_matches_standalone_train(prepared, capsys):
     _, _, meta = load_checkpoint(str(grid / "weighted_comb.ckpt"))
     assert meta["config"]["anneal_end"] == meta["config"]["anneal_start"] == 3.0
     assert meta["tau"] == 3.0
+
+
+@pytest.mark.parametrize("where", ["--set", "config"])
+def test_ablate_refuses_a_mode_other_than_full_before_training(prepared, capsys, where):
+    # every grid row sets its own mode from a full base
+    tmp_path, data, cfg = prepared
+    grid = tmp_path / "grid"
+    flags = ["ablate", "--data", str(data), "--out-dir", str(grid), "--config", str(cfg)]
+    if where == "--set":
+        flags += ["--set", "mode=dot_product"]
+    else:
+        cfg.write_text(cfg.read_text(encoding="utf-8") + "mode = dot_product\n", encoding="utf-8")
+    assert main(flags) == 1
+    captured = capsys.readouterr()
+    assert "mode = 'dot_product'" in captured.err
+    assert captured.out == ""
+    assert not grid.exists()

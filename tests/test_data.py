@@ -80,6 +80,25 @@ class TestLoading:
         with pytest.raises(ParseError, match="line 1"):
             load_interactions(str(p))
 
+    def test_empty_item_field_names_line(self, tmp_path):
+        p = tmp_path / "x.tsv"
+        p.write_text("u\ta\t1\nu\t\t2\n")
+        with pytest.raises(ParseError, match=r"x\.tsv: line 2: empty item field"):
+            load_interactions(str(p))
+
+    def test_empty_session_field_names_line(self, tmp_path):
+        p = tmp_path / "x.tsv"
+        p.write_text("u1\ts1\ta\t1\nu2\t\tb\t2\nu3\t\tc\t3\n")
+        with pytest.raises(ParseError, match=r"x\.tsv: line 2: empty session field"):
+            load_interactions(str(p), columns="user,session,item,time")
+
+    def test_empty_user_field_stays_anonymous(self, tmp_path):
+        p = tmp_path / "x.tsv"
+        p.write_text("\ts1\ta\t1\nu\ts1\tb\t2\n")
+        records, _ = load_interactions(str(p), columns="user,session,item,time")
+        assert [r.user_tag for r in records] == [None, "u"]
+        assert [r.session_tag for r in records] == ["s1", "s1"]
+
     def test_empty_input(self, tmp_path):
         p = tmp_path / "x.tsv"
         p.write_text("")
@@ -357,7 +376,7 @@ class TestNegativeSampling:
         [
             (7211, 10),  # Floyd's algorithm, batched
             (40_000, 800),  # numpy's tail shuffle: 800 > 39_999 // 50
-            (40_000, 799),  # Floyd's algorithm, too many columns to batch
+            (40_000, 799),  # Floyd's algorithm, batched: 799 <= 39_999 // 50
             (65, 64),  # C = N - 1 at the batched limit
             (12, 11),  # C = N - 1
             (2, 1),  # C = N - 1: a single candidate
