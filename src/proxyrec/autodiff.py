@@ -1,12 +1,15 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-Every operation records itself on an implicit graph: the output Tensor keeps
-references to its inputs and a closure that takes the output gradient and
-routes it back to them. No closure refers to its own output, so a graph holds
-no reference cycle. backward() on a scalar output walks the recorded trace
-once in reverse topological order, accumulating into .grad on every tensor
-that requires it. Gradients add up across fan-out, so a subexpression used
-twice contributes twice.
+The model records six ops per batch at most, each a fixed chain of numpy
+work whose closure is a hand-written vector-Jacobian product:
+selector.selection_logits and the selection tail in selector.select,
+encoder.encode_prefixes, the two item gathers (Tensor.gather) and
+trainer.loss_head. An op's output keeps references to its inputs and its
+closure, which takes the output gradient and routes it back to them. No
+closure refers to its own output, so a graph holds no reference cycle.
+backward() on a scalar output walks the recorded trace once in reverse
+topological order, accumulating into .grad on every tensor that requires it.
+Gradients add up across fan-out, so a tensor used twice contributes twice.
 
 The walk consumes the graph and frees it as it goes. When a node's turn
 comes, every consumer has already run, so its gradient is complete; its
@@ -14,24 +17,17 @@ closure runs, and then the node drops its closure, its inputs and, unless it
 is the root, its .grad. A recorded forward supports one backward(), after
 which only the leaves and the root hold a gradient.
 
-A closure hands each input a gradient array. One it made for that call alone
-(a product, a quotient, a negation, a matmul, ...) becomes the input's
-.grad as it is when the input has none yet, and later contributions add into
-it in place. An array the closure shares or cannot write is copied first:
-the output gradient that + passes to both operands and - to its left one,
-reshape's view and sum's read-only broadcast. So no two tensors share a
-gradient array. A kept first gradient may hold a -0.0 where a copy made with
-+ 0.0 would not; that sign cannot reach a leaf whose gradient buffer starts
-at +0.0, because +0.0 + -0.0 is +0.0.
-
 An op records only when one of its inputs requires a gradient. Otherwise
 its output keeps neither inputs nor closure and is freed with its last
 reference, so a forward over leaves that need none records nothing.
 
-An op outside this module is written with four calls:
+An op is written with four calls:
   * Tensor.record(data, inputs, backward) returns the output, which keeps
     inputs and the closure backward(g) only while recording.
-  * Tensor.accum(g), in the closure, hands an input a fresh gradient array.
+  * Tensor.accum(g), in the closure, hands an input a gradient array made
+    for that call alone. It becomes the input's .grad as it is when the
+    input has none yet, and later contributions add into it in place, so a
+    closure never hands on an array it shares or cannot write.
   * Tensor.accum_rows(index, g), in the closure, hands a table input the
     gradient of table[index]: each row's contributions, summed in index
     order with one weighted np.bincount. An index shorter than the table is
@@ -42,35 +38,26 @@ An op outside this module is written with four calls:
     Both forms sum each row in the same order, so they give the same bits.
   * kink(pre), in the forward, hands a kinked pre-activation to the
     module-level kink_hook, when it is set, before the op overwrites it in
-    place; a hook copies what it keeps. relu and abs call it too. A
-    finite-difference checker uses it to skip coordinates whose
-    perturbation lands on or crosses a kink, where there is no two-sided
-    derivative to agree with.
+    place; a hook copies what it keeps. A finite-difference checker uses it
+    to skip coordinates whose perturbation lands on or crosses a kink, where
+    there is no two-sided derivative to agree with.
 accum and accum_rows do nothing for an input that requires no gradient, so a
-closure hands every input its share without asking. (The two-input ops
-below still ask before they compute an operand's share, so a coerced
-constant such as a margin or a temperature costs no product.) A fixed chain
-of numpy work can so become a single op whose closure is a hand-written
-vector-Jacobian product: selector.selection_logits and
-encoder.encode_prefixes are such block ops. A block closure keeps only the
-arrays its product reads, and hands each input the gradient, in the order,
-that the chain's own ops would have.
+closure hands every input its share without asking. A block closure keeps
+only the arrays its product reads, and hands each input the gradient, in the
+order, that the chain of elementwise ops it replaced would have: floating
+point addition is not associative, so three or more contributions to one
+array keep the bits only in that order.
 
 Conventions:
   * storage is always float64; inputs are coerced on construction
   * kinked activations take the left derivative at the kink
     (relu'(0) = 0, abs'(0) = 0, and the selector's leaky relu has slope 0.1
     at 0)
-  * elementwise ops broadcast as numpy does; gradients are summed back onto
-    the broadcast operand's own shape
-  * matmul takes the two shapes the model records, (n, k) @ (k, m) and
-    (n, k) @ (k,); sum() adds every element; l2norm, inner, sq_dist and
-    softmax reduce the last axis
+  * a norm's gradient at a zero row is taken as 0 (its denominator is
+    floored at 1e-300)
 """
 
 from __future__ import annotations
-
-import operator
 
 import numpy as np
 
@@ -88,24 +75,6 @@ def kink(pre: np.ndarray) -> None:
         kink_hook(pre)
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a gradient back down to the shape it was broadcast up from."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
-
-
-def _last_axis(grad: np.ndarray, shape: tuple[int, ...], keepdims: bool = False) -> np.ndarray:
-    """Broadcast a gradient reduced over the last axis back over shape."""
-    return np.broadcast_to(grad if keepdims else grad[..., None], shape)
-
-
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev", "__weakref__")
 
@@ -116,7 +85,8 @@ class Tensor:
         self._backward = None
         self._prev: tuple[Tensor, ...] = ()
 
-    # -- construction helpers -------------------------------------------
+    def __repr__(self):
+        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     @staticmethod
     def record(data: np.ndarray, prev: tuple["Tensor", ...], backward) -> "Tensor":
@@ -142,11 +112,6 @@ class Tensor:
             self.grad = g if type(g) is np.ndarray else np.array(g)
         else:
             self.grad += g
-
-    def _accum_copy(self, g: np.ndarray) -> None:
-        """accum for a g that may be shared or read-only: a first gradient
-        is a copy of it."""
-        self.accum(np.array(g) if self.grad is None else g)
 
     def accum_rows(self, index: np.ndarray, g: np.ndarray) -> None:
         """Add the vector-Jacobian product of self[index] into .grad: entry
@@ -175,120 +140,6 @@ class Tensor:
             self.grad = np.zeros(shape)
         self.grad[rows] += block
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # -- arithmetic ------------------------------------------------------
-
-    def _operand(self, other, name: str, forward):
-        """other as a Tensor, and forward(self.data, other.data); shapes that
-        do not broadcast raise ShapeError naming the op."""
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        try:
-            return other, forward(self.data, other.data)
-        except ValueError:
-            raise ShapeError(f"{name}: shapes {self.data.shape} and {other.data.shape} do not broadcast")
-
-    def __add__(self, other):
-        a = self
-        b, data = a._operand(other, "add", operator.add)
-
-        def backward(g):
-            if a.requires_grad:
-                a._accum_copy(_unbroadcast(g, a.data.shape))
-            if b.requires_grad:
-                b._accum_copy(_unbroadcast(g, b.data.shape))
-
-        return Tensor.record(data, (a, b), backward)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        a = self
-
-        def backward(g):
-            a.accum(-g)
-
-        return Tensor.record(-a.data, (a,), backward)
-
-    def __sub__(self, other):
-        a = self
-        b, data = a._operand(other, "sub", operator.sub)
-
-        def backward(g):
-            if a.requires_grad:
-                a._accum_copy(_unbroadcast(g, a.data.shape))
-            if b.requires_grad:
-                b.accum(_unbroadcast(-g, b.data.shape))
-
-        return Tensor.record(data, (a, b), backward)
-
-    def __mul__(self, other):
-        a = self
-        b, data = a._operand(other, "mul", operator.mul)
-
-        def backward(g):
-            if a.requires_grad:
-                a.accum(_unbroadcast(g * b.data, a.data.shape))
-            if b.requires_grad:
-                b.accum(_unbroadcast(g * a.data, b.data.shape))
-
-        return Tensor.record(data, (a, b), backward)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        a = self
-        b, data = a._operand(other, "div", operator.truediv)
-
-        def backward(g):
-            if a.requires_grad:
-                a.accum(_unbroadcast(g / b.data, a.data.shape))
-            if b.requires_grad:
-                b.accum(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-        return Tensor.record(data, (a, b), backward)
-
-    # -- linear algebra ---------------------------------------------------
-
-    def __matmul__(self, other):
-        a = self
-        b = other if isinstance(other, Tensor) else Tensor(other)
-        ad, bd = a.data, b.data
-        if ad.ndim != 2 or bd.ndim not in (1, 2) or ad.shape[1] != bd.shape[0]:
-            raise ShapeError(
-                f"matmul: shapes {ad.shape} and {bd.shape} are not (n, k) @ (k, m) or (n, k) @ (k,)"
-            )
-
-        def backward(g):
-            # a vector operand b is the column (k, 1), and g the column (n, 1)
-            G = g if bd.ndim == 2 else g[:, None]
-            B = bd if bd.ndim == 2 else bd[:, None]
-            if a.requires_grad:
-                a.accum(np.matmul(G, B.T))
-            if b.requires_grad:
-                b.accum(np.matmul(ad.T, G).reshape(bd.shape))
-
-        return Tensor.record(np.matmul(ad, bd), (a, b), backward)
-
-    # -- shape ops ---------------------------------------------------------
-
-    def reshape(self, *shape):
-        a = self
-
-        def backward(g):
-            a._accum_copy(g.reshape(a.data.shape))
-
-        return Tensor.record(a.data.reshape(shape), (a,), backward)
-
     def gather(self, index):
         """Select rows along axis 0 with an integer index array of any shape.
 
@@ -304,93 +155,6 @@ class Tensor:
             a.accum_rows(idx, g)
 
         return Tensor.record(a.data[idx], (a,), backward)
-
-    # -- reductions ----------------------------------------------------------
-
-    def sum(self):
-        """Sum of every element."""
-        a = self
-
-        def backward(g):
-            a._accum_copy(np.broadcast_to(g, a.data.shape))
-
-        return Tensor.record(a.data.sum(), (a,), backward)
-
-    def l2norm(self, keepdims: bool = False):
-        """Euclidean norm over the last axis."""
-        a = self
-        norm = np.sqrt((a.data * a.data).sum(axis=-1, keepdims=keepdims))
-
-        def backward(g):
-            shape = a.data.shape
-            n = _last_axis(norm, shape, keepdims)
-            # guard the 0/0 cusp; the true subgradient there is taken as 0
-            a.accum(_last_axis(g, shape, keepdims) * a.data / np.maximum(n, 1e-300))
-
-        return Tensor.record(norm, (a,), backward)
-
-    def inner(self, other, keepdims: bool = False):
-        """Inner product sum(a * b) over the last axis, with broadcasting."""
-        a = self
-        b, prod = a._operand(other, "inner", operator.mul)
-        shape = prod.shape
-
-        def backward(g):
-            g = _last_axis(g, shape, keepdims)
-            if a.requires_grad:
-                a.accum(_unbroadcast(g * b.data, a.data.shape))
-            if b.requires_grad:
-                b.accum(_unbroadcast(g * a.data, b.data.shape))
-
-        return Tensor.record(prod.sum(axis=-1, keepdims=keepdims), (a, b), backward)
-
-    def sq_dist(self, other):
-        """Squared Euclidean distance sum((a-b)^2) over the last axis."""
-        a = self
-        b, diff = a._operand(other, "sq_dist", operator.sub)
-
-        def backward(g):
-            g = 2.0 * diff * _last_axis(g, diff.shape)
-            if a.requires_grad:
-                a.accum(_unbroadcast(g, a.data.shape))
-            if b.requires_grad:
-                b.accum(_unbroadcast(-g, b.data.shape))
-
-        return Tensor.record((diff * diff).sum(axis=-1), (a, b), backward)
-
-    # -- nonlinearities ---------------------------------------------------
-
-    def relu(self):
-        a = self
-        kink(a.data)
-
-        def backward(g):
-            a.accum(g * (a.data > 0.0))
-
-        return Tensor.record(np.maximum(a.data, 0.0), (a,), backward)
-
-    def abs(self):
-        a = self
-        kink(a.data)
-
-        def backward(g):
-            a.accum(g * np.sign(a.data))
-
-        return Tensor.record(np.abs(a.data), (a,), backward)
-
-    def softmax(self):
-        """Numerically stable softmax along the last axis (max is subtracted first)."""
-        a = self
-        shifted = a.data - a.data.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        y = e / e.sum(axis=-1, keepdims=True)
-
-        def backward(g):
-            a.accum(y * (g - (g * y).sum(axis=-1, keepdims=True)))
-
-        return Tensor.record(y, (a,), backward)
-
-    # -- autodiff driver -----------------------------------------------------
 
     def backward(self):
         """Reverse pass from a scalar output; accumulates into .grad leaves.

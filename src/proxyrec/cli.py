@@ -177,23 +177,36 @@ def _parse_int_list(text: str, what: str, n: int | None = None) -> tuple[int, ..
 @contextlib.contextmanager
 def _epoch_logs(out_dir: str, log_name: str, timing_name: str, echo: bool):
     """A fit log_fn writing each epoch's stats to log_name and its seconds to
-    timing_name, so the stats file is the same bytes on every rerun."""
-    with open(os.path.join(out_dir, log_name), "w", encoding="utf-8") as log, open(
-        os.path.join(out_dir, timing_name), "w", encoding="utf-8"
-    ) as timing:
+    timing_name, so the stats file is the same bytes on every rerun. Both are
+    written under temporary names and renamed into place when the with-block
+    succeeds; when it raises they are removed, so the logs of an earlier run
+    in out_dir keep their bytes."""
+    paths = [os.path.join(out_dir, name) for name in (log_name, timing_name)]
+    temps = [f"{path}.{os.getpid()}.tmp" for path in paths]
+    try:
+        with open(temps[0], "w", encoding="utf-8") as log, open(
+            temps[1], "w", encoding="utf-8"
+        ) as timing:
 
-        def log_line(stats: dict, seconds: float) -> None:
-            log.write(json.dumps(stats, sort_keys=True) + "\n")
-            log.flush()
-            timing.write(json.dumps({"epoch": stats["epoch"], "seconds": seconds}) + "\n")
-            timing.flush()
-            if echo:
-                print(
-                    f"epoch {stats['epoch']:>3}  loss {stats['loss']:.4f}  "
-                    f"val R@20 {stats['val_recall20']:.4f}  ({seconds:.1f}s)"
-                )
+            def log_line(stats: dict, seconds: float) -> None:
+                log.write(json.dumps(stats, sort_keys=True) + "\n")
+                log.flush()
+                timing.write(json.dumps({"epoch": stats["epoch"], "seconds": seconds}) + "\n")
+                timing.flush()
+                if echo:
+                    print(
+                        f"epoch {stats['epoch']:>3}  loss {stats['loss']:.4f}  "
+                        f"val R@20 {stats['val_recall20']:.4f}  ({seconds:.1f}s)"
+                    )
 
-        yield log_line
+            yield log_line
+        for temp, path in zip(temps, paths):
+            os.replace(temp, path)
+    except BaseException:
+        for temp in temps:
+            with contextlib.suppress(OSError):
+                os.unlink(temp)
+        raise
 
 
 def cmd_prepare(args) -> int:
@@ -241,11 +254,11 @@ def cmd_train(args) -> int:
     known = pick_known_users(split, cfg)
 
     os.makedirs(args.out_dir, exist_ok=True)
+    ckpt_path = os.path.join(args.out_dir, CHECKPOINT_FILE)
+    # the logs replace an earlier run's only once the checkpoint is written
     with _epoch_logs(args.out_dir, TRAIN_LOG_FILE, TRAIN_TIMING_FILE, echo=True) as log_line:
         result = fit(split, cfg, known, log_fn=log_line)
-
-    ckpt_path = os.path.join(args.out_dir, CHECKPOINT_FILE)
-    save_checkpoint(ckpt_path, result.params, result.adam, result.epoch, result.tau, cfg)
+        save_checkpoint(ckpt_path, result.params, result.adam, result.epoch, result.tau, cfg)
     with open(os.path.join(args.out_dir, KNOWN_USERS_FILE), "w", encoding="utf-8") as fh:
         json.dump(
             {
@@ -341,14 +354,14 @@ def cmd_ablate(args) -> int:
         logs = (f"{name}.log.jsonl", f"{name}.timing.jsonl")
         with _epoch_logs(args.out_dir, *logs, echo=False) as log_line:
             result = fit(split, cfg, known, log_fn=log_line)
-        save_checkpoint(
-            os.path.join(args.out_dir, f"{name}.ckpt"),
-            result.params,
-            result.adam,
-            result.epoch,
-            result.tau,
-            cfg,
-        )
+            save_checkpoint(
+                os.path.join(args.out_dir, f"{name}.ckpt"),
+                result.params,
+                result.adam,
+                result.epoch,
+                result.tau,
+                cfg,
+            )
         instances = expand_all(split.test, cfg.task, set(known))
         report = evaluate(
             params=result.params,

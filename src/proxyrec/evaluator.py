@@ -40,14 +40,7 @@ import numpy as np
 from .autodiff import Tensor
 from .data import TASKS, PredictionInstance
 from .errors import ConfigError, MetricError, NumericError
-from .scoring import (
-    SCORING_MODES,
-    catalog_scores,
-    catalog_table,
-    distance,
-    project,
-    session_state,
-)
+from .scoring import catalog_scores, catalog_table, distance, mode_terms, project, session_state
 
 CHUNK_ELEMENTS = 2**20  # catalog scores held per chunk (8 MiB of float64)
 CHUNK_ROWS = 256  # instances per chunk at most; bounds a chunk's run table and score rows
@@ -83,8 +76,7 @@ def compute_ranks(
     mode: str = "full",
 ) -> np.ndarray:
     """Rank of every instance's target, in instance order."""
-    if mode not in SCORING_MODES:
-        raise ConfigError(f"unknown scoring mode {mode!r}; expected one of {SCORING_MODES}")
+    mode_terms(mode)  # raises ConfigError for an unknown mode
     if task not in TASKS:
         raise ConfigError(f"unknown task {task!r}; expected one of {TASKS}")
     items = params.items
@@ -100,11 +92,10 @@ def compute_ranks(
         chunk = instances[where]
         bias_rows = params.bias_rows(chunk)
         _, v, q = session_state(chunk, bias_rows, leaves, tau, mode, strict=True)
-        qd, vd = q.data, None if v is None else v.data
         masks = [i.prefix for i in chunk] if task == "unseen" else None
-        scores = catalog_scores(qd, vd, table, mode, masks)
-        bands = TIE_BAND * (1.0 + (qd * qd).sum(axis=1) + x_max)
-        ranks[where] = _rank_rows(scores, targets[where], bands, qd, vd, items, mode)
+        scores = catalog_scores(q, v, table, mode, masks)
+        bands = TIE_BAND * (1.0 + (q * q).sum(axis=1) + x_max)
+        ranks[where] = _rank_rows(scores, targets[where], bands, q, v, items, mode)
     return ranks
 
 
@@ -132,8 +123,8 @@ def _rank_rows(scores, targets, bands, q, v, items, mode) -> np.ndarray:
     near ^= below
     # np.nonzero on the 2-D mask is several times slower than on its ravel
     rows, cols = np.divmod(np.flatnonzero(near), scores.shape[1])
-    cand = project(Tensor(items[cols]), None if v is None else Tensor(v[rows]), mode)
-    exact = distance(Tensor(q[rows]), cand, mode).data
+    cand = project(items[cols], None if v is None else v[rows], mode)
+    exact = distance(q[rows], cand, mode)
     row_target = targets[rows]
     is_target = cols == row_target
     exact_t = np.empty(n)

@@ -11,15 +11,19 @@ Smaller is better everywhere in this module. Alternative modes cover the
 ablations: each drops one ingredient (proxy only, short-term only, no
 projection) or swaps the metric for a negated dot product.
 
-session_state is the model's forward for a batch; training scores a few
-candidates per instance through project and distance, and evaluation scores
-the whole catalog through catalog_scores, which expands the same distance
-into one matrix product against catalog_table.
+MODES says which of these terms each mode keeps. project, query and
+distance are numpy functions, the one definition of the scoring math:
+training's loss head (trainer.loss_head) scores a few candidates per
+instance through them, session_state builds evaluation's query points with
+them, and the evaluator re-scores near ties with them. Evaluation scores the
+whole catalog through catalog_scores, which expands the same distance into
+one matrix product against catalog_table.
 """
 
 from __future__ import annotations
 
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,60 +32,85 @@ from .encoder import encode_prefixes
 from .errors import ConfigError, MetricError
 from .selector import select
 
-SCORING_MODES = ("full", "proxy_only", "short_only", "no_projection", "dot_product")
-PROJECTED_MODES = ("full", "proxy_only", "dot_product")
+
+class Terms(NamedTuple):
+    """What a scoring mode keeps of the model."""
+
+    proxy: bool  # the query holds the proxy
+    short: bool  # the query holds the short-term state
+    projected: bool  # the short-term state and the candidates lie on the hyperplane
+    dot: bool  # dissimilarity is the negated inner product, not the squared distance
 
 
-def project(x: Tensor, v: Tensor, mode: str) -> Tensor:
+MODES = {
+    "full": Terms(True, True, True, False),
+    "proxy_only": Terms(True, False, True, False),
+    "short_only": Terms(False, True, False, False),
+    "no_projection": Terms(True, True, False, False),
+    "dot_product": Terms(True, True, True, True),
+}
+SCORING_MODES = tuple(MODES)
+
+
+def mode_terms(mode: str) -> Terms:
+    """The Terms of mode; ConfigError for a mode MODES does not name."""
+    if mode not in MODES:
+        raise ConfigError(f"unknown scoring mode {mode!r}; expected one of {SCORING_MODES}")
+    return MODES[mode]
+
+
+def project(x: np.ndarray, v: np.ndarray | None, mode: str) -> np.ndarray:
     """Candidates as the mode sees them: x - (v.x) v on the hyperplane of unit
     normal v in the projected modes, x unchanged otherwise.
 
     Rows x (B, d) pair with normals v (B, d); a candidate stack (B, C, d)
     reuses each instance's normal for all of its C rows.
     """
-    if mode not in PROJECTED_MODES:
+    if not mode_terms(mode).projected:
         return x
     if x.ndim > v.ndim:
-        v = v.reshape(v.data.shape[0], 1, v.data.shape[-1])
-    return x - x.inner(v, keepdims=True) * v
+        v = v.reshape(v.shape[0], 1, v.shape[-1])
+    return x - (x * v).sum(axis=-1, keepdims=True) * v
 
 
-def query(p: Tensor | None, v: Tensor | None, s: Tensor | None, mode: str) -> Tensor:
+def query(p: np.ndarray | None, v: np.ndarray | None, s: np.ndarray | None, mode: str) -> np.ndarray:
     """The session's query point: proxy plus projected short-term state, or
     the single ingredient (or unprojected sum) an ablation keeps."""
-    if mode not in SCORING_MODES:
-        raise ConfigError(f"unknown scoring mode {mode!r}; expected one of {SCORING_MODES}")
-    if mode == "proxy_only":
+    terms = mode_terms(mode)
+    if not terms.short:
         return p
-    if mode == "short_only":
+    if not terms.proxy:
         return s
-    if mode == "no_projection":
-        return p + s
     return p + project(s, v, mode)
 
 
-def distance(q: Tensor, x: Tensor, mode: str) -> Tensor:
-    """Dissimilarity of queries to candidates already passed through project;
-    dot_product negates the inner product to keep smaller meaning closer."""
-    if mode == "dot_product":
-        return -q.inner(x)
-    return q.sq_dist(x)
+def distance(q: np.ndarray, x: np.ndarray, mode: str) -> np.ndarray:
+    """Dissimilarity over the last axis of queries to candidates already
+    passed through project; dot_product negates the inner product to keep
+    smaller meaning closer."""
+    if mode_terms(mode).dot:
+        return -(q * x).sum(axis=-1)
+    diff = q - x
+    return (diff * diff).sum(axis=-1)
 
 
 def session_state(
     instances, bias_rows, leaves: dict[str, Tensor], tau: float, mode: str, strict: bool
 ):
-    """(p, v, q) for a batch: proxies, hyperplane normals and query points.
+    """(p, v, q) arrays for a batch: proxies, hyperplane normals and query
+    points, from the selector's and the encoder's ops. p and v are None in
+    short_only mode.
 
-    p and v are None in short_only mode. strict is the inference regime
-    (selection from each prefix, degenerate mixtures raise); training passes
-    strict=False (selection from each parent session, EPS padding).
+    strict is the inference regime (selection from each prefix, degenerate
+    mixtures raise); training runs the same ops with strict=False (selection
+    from each parent session, EPS padding).
     """
+    terms = mode_terms(mode)
     p = v = s = None
-    if mode != "short_only":
-        _, p, v = select(instances, bias_rows, leaves, tau, strict)
-    if mode != "proxy_only":
-        s = encode_prefixes([i.prefix for i in instances], leaves)
+    if terms.proxy:
+        p, v = select(instances, bias_rows, leaves, tau, strict)[1].data
+    if terms.short:
+        s = encode_prefixes([i.prefix for i in instances], leaves).data
     return p, v, query(p, v, s, mode)
 
 
@@ -112,8 +141,9 @@ def catalog_scores(
     distance(), by far less than any gap it is trusted to order.
     """
     B, d = q.shape
-    projected = mode in PROJECTED_MODES
-    if mode == "dot_product":
+    terms = mode_terms(mode)
+    projected = terms.projected
+    if terms.dot:
         scores = ((q * v).sum(axis=1, keepdims=True) * v - q) @ table[:, :d].T
     else:
         lhs = np.hstack([-2.0 * q, np.ones((B, 1)), (q * q).sum(axis=1, keepdims=True)])

@@ -13,8 +13,8 @@ mixture of the bank row norms, which keeps a soft combination from shrinking
 toward the origin. The same distribution mixes the bank's normal rows into
 the unit normal of the session's hyperplane.
 
-Every function here works on a batch of instances as recorded autodiff ops,
-so training and evaluation run the same forward. A batch is one run table
+Selection runs on a batch of instances as two recorded autodiff ops, so
+training and evaluation run the same forward. A batch is one run table
 (_packed): the T ids of all its sessions in order, one run per session, so
 every (T, d) row is a real item and takes the positional row of its place in
 the session. W2 is linear, so the mean is taken over the hidden rows before
@@ -29,6 +29,16 @@ product walks the chain back: W2, the per-run mean, the leaky relu's slope,
 W1, then the item and positional row sums (Tensor.accum_rows). It keeps
 only the packed rows, a boolean mask of the entries above the kink, and the
 per-run means; over leaves that need no gradient it keeps nothing.
+
+The selection tail in select is the second op, from the logits to the
+proxies and hyperplane normals, returned stacked as one (2, B, d) output.
+Its forward is selection_distribution, assemble_proxy and assemble_normal,
+numpy functions that evaluate the expressions of the autodiff ops they
+replaced in the same order; the last two also return the intermediates the
+VJP reads. The VJP walks back the normal's normalization, the proxy's
+rescale (the bank takes its row norms' share before its mixture's), the
+softmax and 1/tau, and hands the logits and, through Tensor.accum_rows, the
+user-bias rows their gradient.
 
 The caller's strict flag picks the regime: during training (non-strict) the
 distribution is computed from the whole parent session, including the items
@@ -138,52 +148,118 @@ def selection_logits(item_lists, leaves: dict[str, Tensor]) -> Tensor:
     return Tensor.record(np.matmul(mean_h, w2.data), inputs, backward)
 
 
-def selection_distribution(logits: Tensor, tau: float, bias: Tensor | None = None) -> Tensor:
-    """softmax((logits + bias) / tau) along the last axis."""
+def selection_distribution(logits: np.ndarray, tau: float, bias: np.ndarray | None = None) -> np.ndarray:
+    """softmax((logits + bias) / tau) along the last axis, its max
+    subtracted first."""
     if tau <= 0.0:
         raise ConfigError(f"temperature must be positive, got {tau}")
     z = logits if bias is None else logits + bias
-    return (z / tau).softmax()
+    z = z / tau
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def _divide(num: Tensor, norm: Tensor, strict: bool, what: str) -> Tensor:
-    """num / norm; strict raises on a (near) zero norm, otherwise pads it."""
+def row_norms(x: np.ndarray, keepdims: bool = False) -> np.ndarray:
+    """Euclidean norms over the last axis."""
+    return np.sqrt((x * x).sum(axis=-1, keepdims=keepdims))
+
+
+def _padded(norms: np.ndarray, strict: bool, what: str) -> np.ndarray:
+    """The denominators for norms: strict raises on a (near) zero norm,
+    otherwise each is padded with EPS."""
     if strict:
-        worst = float(norm.data.min())
+        worst = float(norms.min())
         if worst < EPS:
             raise DegenerateProxyError(f"{what} has norm {worst:.3e}; cannot rescale")
-        return num / norm
-    return num / (norm + EPS)
+        return norms
+    return norms + EPS
 
 
-def assemble_proxy(pi: Tensor, proxies: Tensor, strict: bool) -> Tensor:
+def assemble_proxy(pi: np.ndarray, proxies: np.ndarray, strict: bool):
     """Rows gamma * (pi @ proxies), with gamma chosen so that each row's norm
-    equals the pi-weighted sum of bank row norms."""
-    combined = pi @ proxies
-    mixed_norm = pi @ proxies.l2norm()
-    gamma = _divide(mixed_norm, combined.l2norm(), strict, "proxy combination")
-    return gamma.reshape(pi.data.shape[0], 1) * combined
+    equals the pi-weighted sum of bank row norms. Returns the rows, then
+    what the tail's VJP reads: the mixture pi @ proxies, the bank row norms,
+    the mixed norms, the mixture's norms, their denominators and gamma (B, 1)."""
+    combined = np.matmul(pi, proxies)
+    bank = row_norms(proxies)
+    mixed = np.matmul(pi, bank)
+    norms = row_norms(combined)
+    den = _padded(norms, strict, "proxy combination")
+    gamma = (mixed / den).reshape(-1, 1)
+    return gamma * combined, combined, bank, mixed, norms, den, gamma
 
 
-def assemble_normal(pi: Tensor, normals: Tensor, strict: bool) -> Tensor:
-    """Unit hyperplane normals: the pi-mixture of normal rows, normalized."""
-    w = pi @ normals
-    return _divide(w, w.l2norm(keepdims=True), strict, "hyperplane normal")
+def assemble_normal(pi: np.ndarray, normals: np.ndarray, strict: bool):
+    """Unit hyperplane normals: the pi-mixture of normal rows, normalized.
+    Returns the normals, then the mixture, its norms (B, 1) and their
+    denominators."""
+    w = np.matmul(pi, normals)
+    norms = row_norms(w, keepdims=True)
+    den = _padded(norms, strict, "hyperplane normal")
+    return w / den, w, norms, den
 
 
-def select(instances, bias_rows, leaves: dict[str, Tensor], tau: float, strict: bool):
-    """Selection distributions pi (B, K), proxies p (B, d) and unit
-    hyperplane normals v (B, d) for a batch.
+def select(instances, bias_rows, leaves: dict[str, Tensor], tau: float, strict: bool,
+           normal_first: bool = True):
+    """Selection distributions pi (B, K) and one recorded op whose output
+    stacks the proxies p and the unit hyperplane normals v, (2, B, d).
 
     bias_rows gives each instance's row in the user-bias table (0 is the
     anonymous row). Strict selection reads each prefix, non-strict selection
-    each whole parent session.
+    each whole parent session. The op runs over the logits, proxies, normals
+    and, when the table holds known users, user_bias. Its VJP sums pi's
+    gradient from the normal's share and the proxy's two (the mixed norms',
+    then the mixture's); normal_first puts the normal's share first, the
+    order in which a loss holding the orthogonality term reaches them.
     """
     sessions = [i.prefix if strict else i.parent_items for i in instances]
     logits = selection_logits(sessions, leaves)
-    bias = None
-    if leaves["user_bias"].data.shape[0] > 1:
-        bias = leaves["user_bias"].gather(np.asarray(bias_rows, dtype=np.int64))
-    pi = selection_distribution(logits, tau, bias)
-    p = assemble_proxy(pi, leaves["proxies"], strict)
-    return pi, p, assemble_normal(pi, leaves["normals"], strict)
+    proxies, normals, table = leaves["proxies"], leaves["normals"], leaves["user_bias"]
+    inputs = (logits, proxies, normals)
+    rows = bias = None
+    if table.data.shape[0] > 1:
+        rows = np.asarray(bias_rows, dtype=np.int64)
+        bias = table.data[rows]
+        inputs += (table,)
+    pi = selection_distribution(logits.data, tau, bias)
+    p, combined, bank, mixed, norms, den, gamma = assemble_proxy(pi, proxies.data, strict)
+    v, w, w_norms, w_den = assemble_normal(pi, normals.data, strict)
+
+    def normal_vjp(g_v):
+        # v = w / w_den, w_den = ||w|| (+ EPS), w = pi @ normals
+        g_w = g_v / w_den
+        g_norms = (-g_v * w / (w_den * w_den)).sum(axis=1, keepdims=True)
+        g_w += g_norms * w / np.maximum(w_norms, 1e-300)
+        normals.accum(np.matmul(pi.T, g_w))
+        return np.matmul(g_w, normals.data.T)
+
+    def proxy_vjp(g_p):
+        # p = gamma * combined, gamma = mixed / den, den = ||combined|| (+ EPS)
+        g_gamma = (g_p * combined).sum(axis=1)
+        g_combined = g_p * gamma
+        g_mixed = g_gamma / den
+        g_den = -g_gamma * mixed / (den * den)
+        g_bank = np.matmul(pi.T, g_mixed[:, None]).reshape(bank.shape)
+        proxies.accum(g_bank[:, None] * proxies.data / np.maximum(bank, 1e-300)[:, None])
+        g_combined += g_den[:, None] * combined / np.maximum(norms, 1e-300)[:, None]
+        proxies.accum(np.matmul(pi.T, g_combined))
+        return np.matmul(g_mixed[:, None], bank[:, None].T), np.matmul(g_combined, proxies.data.T)
+
+    def backward(g):
+        g_p, g_v = g
+        if normal_first:
+            g_pi = normal_vjp(g_v)
+            shares = proxy_vjp(g_p)
+        else:
+            g_pi, *shares = proxy_vjp(g_p)
+            shares.append(normal_vjp(g_v))
+        for share in shares:
+            g_pi += share
+        # the softmax, the temperature and the bias
+        g_z = pi * (g_pi - (g_pi * pi).sum(axis=-1, keepdims=True))
+        g_z /= tau
+        logits.accum(g_z)
+        if rows is not None:
+            table.accum_rows(rows, g_z)
+
+    return pi, Tensor.record(np.stack((p, v)), inputs, backward)

@@ -6,12 +6,14 @@ The loss over a batch is the sum the model minimizes globally:
         + lambda_dist   * sum_instances d(s, pos)
         + lambda_orthog * sum_instances |v(s) . p(s)| / ||p(s)||
 
-built as one recorded autodiff graph per batch through the same forward
-evaluation uses (scoring.session_state), in its training regime: selection
-reads the whole parent session, and proxy assembly and hyperplane
-normalization pad their denominators with 1e-12 instead of raising on
-degenerate mixtures. The anonymous row 0 of the user-bias table has its
-gradient zeroed so it stays pinned at zero.
+built as one recorded autodiff graph per batch of at most six ops: the
+selector's logits and tail and the encoder, which evaluation runs too (in
+its training regime here: selection reads the whole parent session, and
+proxy assembly and hyperplane normalization pad their denominators with
+1e-12 instead of raising on degenerate mixtures), the gathers of the target
+and negative item rows, and loss_head, one op from those to J. The
+anonymous row 0 of the user-bias table has its gradient zeroed so it stays
+pinned at zero.
 
 After every Adam step, item and proxy rows are clipped back into the unit
 ball and normal rows are rescaled to exactly unit norm.
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import evaluator
-from .autodiff import Tensor
+from .autodiff import Tensor, kink
 from .data import (
     TASKS,
     PredictionInstance,
@@ -48,8 +50,9 @@ from .data import (
     sample_negatives,
 )
 from .errors import CheckpointError, ConfigError, DataError, NumericError
-from .scoring import SCORING_MODES, distance, project, session_state
-from .selector import EPS, AnnealSchedule, temperature
+from .encoder import encode_prefixes
+from .scoring import SCORING_MODES, distance, mode_terms, project, query
+from .selector import EPS, AnnealSchedule, row_norms, select, temperature
 
 # fixed seed-stream tags so resumed runs redraw the exact same randomness
 _STREAM_INIT = 101
@@ -304,6 +307,137 @@ def adam_step(
 # -- batched objective -----------------------------------------------------------
 
 
+def _project_vjp(g_out: np.ndarray, x: np.ndarray, v: np.ndarray):
+    """The VJP of project's x - (x.v) v for output gradient g_out, which it
+    overwrites: x's gradient, and v's shares in the order its ops hand them
+    (the product's, then the inner product's). A candidate stack (B, C, d)
+    sums both over its rows, as the reshaped normal it reads, into one."""
+    stacked = x.ndim > v.ndim
+    vb = v.reshape(v.shape[0], 1, v.shape[-1]) if stacked else v
+    along = (x * vb).sum(axis=-1, keepdims=True)
+    g_prod = -g_out
+    g_along = (g_prod * vb).sum(axis=-1, keepdims=True)
+    g_x = g_out
+    g_x += g_along * vb
+    shares = [g_prod * along, g_along * x]
+    if stacked:
+        summed = shares[0].sum(axis=1, keepdims=True)
+        summed += shares[1].sum(axis=1, keepdims=True)
+        shares = [summed.reshape(v.shape)]
+    return g_x, shares
+
+
+def _distance_vjp(g_out: np.ndarray, q: np.ndarray, x: np.ndarray, dot: bool):
+    """The VJP of distance(q, x) for output gradient g_out: q's gradient,
+    summed onto q's shape, and x's."""
+    if dot:
+        g = -g_out[..., None]
+        g_q, g_x = g * x, g * q
+    else:
+        g_q = 2.0 * (q - x) * g_out[..., None]
+        g_x = -g_q
+    if g_q.shape != q.shape:
+        g_q = g_q.sum(axis=1, keepdims=True)
+    return g_q, g_x
+
+
+def loss_head(neg_rows: Tensor, s: Tensor | None, pos_rows: Tensor, pv: Tensor | None,
+              cfg: TrainConfig) -> tuple[Tensor, dict]:
+    """The batch loss J and its telemetry parts, as one recorded op over the
+    gathered negative rows (B, C, d), the short-term states s, the gathered
+    target rows (B, d) and the stacked proxies and normals pv (select). The
+    mode's Terms say which of s and pv exist and which terms J has.
+
+    The forward scores through scoring's query, project and distance, and
+    reports the hinge and the orthogonality pre-activations to
+    autodiff.kink. The VJP recomputes the projections' inner products and
+    the distances' differences rather than keep them.
+
+    Floating point addition does not associate, so v and the items table
+    take their contributions in one fixed order, the one trained
+    checkpoints' bits rest on: v the negatives' projection's, the short-term
+    state's, the targets', then the orthogonality term's; items, through the
+    inputs' order, the negatives' gather's, the encoder's, the targets'
+    gather's, then the selector's. With lambda_dist = 0 the targets'
+    distance has one use, and the order takes it first: the targets' and
+    the negatives' places swap. When J reads v nowhere (no_projection
+    without the orthogonality term), the selector's place is right after
+    the query's: pv comes before s.
+    """
+    terms, mode = mode_terms(cfg.mode), cfg.mode
+    neg, pos = neg_rows.data, pos_rows.data
+    B, d = pos.shape
+    p, v = pv.data if terms.proxy else (None, None)
+    q = query(p, v, s.data if terms.short else None, mode)
+    q3 = q.reshape(B, 1, d)
+    pos_t, neg_t = project(pos, v, mode), project(neg, v, mode)
+    d_pos = distance(q, pos_t, mode)
+    pre = (d_pos.reshape(B, 1) + cfg.margin) - distance(q3, neg_t, mode)
+    kink(pre)
+    hinge = np.maximum(pre, 0.0).sum()
+    J = hinge
+    if cfg.lambda_dist != 0.0:
+        J = J + d_pos.sum() * cfg.lambda_dist
+    orthog = 0.0
+    if terms.proxy:
+        along = (v * p).sum(axis=-1)
+        kink(along)
+        p_norms = row_norms(p)
+        p_den = p_norms + EPS
+        orthog = (np.abs(along) / p_den).sum()
+        if cfg.lambda_orthog != 0.0:
+            J = J + orthog * cfg.lambda_orthog
+    parts = {"hinge": float(hinge), "reg_dist": float(d_pos.sum()),
+             "reg_orthog": float(orthog), "loss": float(J)}
+    targets_first = cfg.lambda_dist == 0.0
+
+    def backward(g):
+        # the hinge, the distance regularizer, then both distances' VJPs
+        g_pre = np.broadcast_to(g, pre.shape) * (pre > 0.0)
+        g_d_pos = g_pre.sum(axis=1)
+        if cfg.lambda_dist != 0.0:
+            g_d_pos += g * cfg.lambda_dist
+        g_q3, g_neg = _distance_vjp(-g_pre, q3, neg_t, terms.dot)
+        g_q, g_pos = _distance_vjp(g_d_pos, q, pos_t, terms.dot)
+        g_q += g_q3.reshape(B, d)
+        # the query's terms, then the projections
+        g_p = g_s = None
+        if terms.proxy:
+            g_p = g_q.copy() if terms.short else g_q
+        if terms.short:
+            g_s = g_q
+        v_shares = []
+        if terms.projected:
+            g_neg, neg_shares = _project_vjp(g_neg, neg, v)
+            g_pos, pos_shares = _project_vjp(g_pos, pos, v)
+            s_shares = []
+            if terms.short:
+                g_s, s_shares = _project_vjp(g_q, s.data, v)
+            first, last = (pos_shares, neg_shares) if targets_first else (neg_shares, pos_shares)
+            v_shares = first + s_shares + last
+        # the orthogonality term |v.p| / (||p|| + EPS)
+        if terms.proxy and cfg.lambda_orthog != 0.0:
+            g_ratio = np.broadcast_to(g * cfg.lambda_orthog, (B,))
+            g_den = -g_ratio * np.abs(along) / (p_den * p_den)
+            g_along = (g_ratio / p_den * np.sign(along))[:, None]
+            v_shares.append(g_along * p)
+            g_p += g_along * v
+            g_p += g_den[:, None] * p / np.maximum(p_norms, 1e-300)[:, None]
+        neg_rows.accum(g_neg)
+        pos_rows.accum(g_pos)
+        if terms.short:
+            s.accum(g_s)
+        if terms.proxy:
+            g_v = sum(v_shares[1:], v_shares[0]) if v_shares else np.zeros((B, d))
+            pv.accum(np.stack((g_p, g_v)))
+
+    first, last = (pos_rows, neg_rows) if targets_first else (neg_rows, pos_rows)
+    v_unread = not terms.projected and cfg.lambda_orthog == 0.0
+    inputs = (first, pv, s, last) if v_unread else (first, s, last, pv)
+    inputs = tuple(t for t in inputs if t is not None)
+    return Tensor.record(np.asarray(J), inputs, backward), parts
+
+
 def objective(
     instances: list[PredictionInstance],
     leaves: dict[str, Tensor],
@@ -317,7 +451,9 @@ def objective(
     negatives is an int array (batch, negatives). bias_rows gives each
     instance's row in the user-bias table (0 = anonymous); omitted means all
     anonymous. The proxy branch runs from each instance's whole parent
-    session, the short-term branch from its prefix.
+    session, the short-term branch from its prefix. Six ops at most: the
+    selector's logits and tail, the encoder, the two item gathers and the
+    loss head.
     """
     B = len(instances)
     if B == 0:
@@ -327,31 +463,16 @@ def objective(
         raise ConfigError(f"negatives shape {neg.shape} != {(B, cfg.negatives)}")
     if bias_rows is None:
         bias_rows = [0] * B
-    mode = cfg.mode
-    p, v, q = session_state(instances, bias_rows, leaves, tau, mode, strict=False)
-    d_dim = leaves["items"].data.shape[1]
+    terms = mode_terms(cfg.mode)
+    pv = s = None
+    if terms.proxy:
+        orthog = cfg.lambda_orthog != 0.0
+        pv = select(instances, bias_rows, leaves, tau, strict=False, normal_first=orthog)[1]
+    if terms.short:
+        s = encode_prefixes([i.prefix for i in instances], leaves)
+    items = leaves["items"]
     pos_ids = np.asarray([i.target for i in instances], dtype=np.int64)
-    pos_t = project(leaves["items"].gather(pos_ids), v, mode)  # (B, d)
-    neg_t = project(leaves["items"].gather(neg), v, mode)  # (B, C, d)
-    d_pos = distance(q, pos_t, mode)  # (B,)
-    d_neg = distance(q.reshape(B, 1, d_dim), neg_t, mode)  # (B, C)
-
-    hinge = (cfg.margin + d_pos.reshape(B, 1) - d_neg).relu().sum()
-    J = hinge
-    parts = {
-        "hinge": float(hinge.data),
-        "reg_dist": float(d_pos.data.sum()),
-        "reg_orthog": 0.0,
-    }
-    if cfg.lambda_dist != 0.0:
-        J = J + cfg.lambda_dist * d_pos.sum()
-    if p is not None:
-        orthog = (v.inner(p).abs() / (p.l2norm() + EPS)).sum()
-        parts["reg_orthog"] = float(orthog.data)
-        if cfg.lambda_orthog != 0.0:
-            J = J + cfg.lambda_orthog * orthog
-    parts["loss"] = float(J.data)
-    return J, parts
+    return loss_head(items.gather(neg), s, items.gather(pos_ids), pv, cfg)
 
 
 # -- epoch loop -------------------------------------------------------------------
@@ -504,7 +625,6 @@ def fit(
 
 CHECKPOINT_MAGIC = b"PXRC"
 CHECKPOINT_VERSION = 2
-CHECKPOINT_VERSIONS = (1, 2)  # readable; version 1 carries no checksums
 
 
 def save_checkpoint(
@@ -581,21 +701,20 @@ def load_checkpoint(path: str) -> tuple[ModelParams, AdamState, dict]:
         return b
 
     def verify(fh, what):
-        nonlocal crc
-        if version >= 2:
-            seen = crc
-            (stored,) = struct.unpack("<I", take(fh, 4, f"checksum of {what}"))
-            if stored != seen:
-                raise CheckpointError(f"{path}: checksum mismatch in {what}")
+        seen = crc
+        (stored,) = struct.unpack("<I", take(fh, 4, f"checksum of {what}"))
+        if stored != seen:
+            raise CheckpointError(f"{path}: checksum mismatch in {what}")
 
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if take(fh, 4, "magic") != CHECKPOINT_MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
         (version,) = struct.unpack("<I", take(fh, 4, "version"))
-        if version not in CHECKPOINT_VERSIONS:
+        if version != CHECKPOINT_VERSION:
+            # version 1 carried no checksums, so its damage would load unseen
             raise CheckpointError(
-                f"{path}: format version {version}, expected one of {CHECKPOINT_VERSIONS}"
+                f"{path}: format version {version}, expected {CHECKPOINT_VERSION}"
             )
         crc = 0  # each checksum covers one block: the meta, then each tensor
         (meta_len,) = struct.unpack("<Q", take(fh, 8, "meta length"))

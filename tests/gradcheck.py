@@ -4,7 +4,8 @@ finite_difference_check() compares analytic gradients against central
 differences, skipping coordinates whose perturbation lands on or crosses an
 activation kink (those points have no two-sided derivative to agree with).
 KinkRecorder finds the kinks through autodiff.kink_hook, which every kinked
-op reaches through autodiff.kink.
+op reaches through autodiff.kink. weighted_sum turns an op's output into the
+scalar a test differentiates.
 """
 
 from __future__ import annotations
@@ -17,11 +18,25 @@ from proxyrec import autodiff
 from proxyrec.autodiff import Tensor
 
 
+def weighted_sum(*terms) -> Tensor:
+    """sum(t * w) over the pairs t, w in terms (t1, w1, t2, w2, ...), each w
+    a fixed array, as one recorded op: a scalar whose gradient in each t is
+    its w (summed where a t repeats)."""
+    pairs = [(t, np.asarray(w, dtype=np.float64)) for t, w in zip(terms[::2], terms[1::2])]
+
+    def backward(g):
+        for t, w in pairs:
+            t.accum(g * w)
+
+    total = sum((t.data * w).sum() for t, w in pairs)
+    return Tensor.record(total, tuple(t for t, _ in pairs), backward)
+
+
 class KinkRecorder:
-    """Collects copies of the kinked pre-activation arrays that relu, abs and
-    the block ops (the selector's leaky relu; the encoder's query, key and
-    head relus) report through autodiff.kink, which hands each to
-    autodiff.kink_hook.
+    """Collects copies of the kinked pre-activation arrays that the block
+    ops (the selector's leaky relu; the encoder's query, key and head relus;
+    the loss head's hinge and orthogonality term) report through
+    autodiff.kink, which hands each to autodiff.kink_hook.
 
     Used as a context manager around a forward evaluation. Two evaluations of
     the same deterministic graph produce aligned lists, which lets the

@@ -117,7 +117,7 @@ def test_c02_proxy_rescale_matches_weighted_row_norms():
         proxies = rng.normal(size=(k, d)) * rng.uniform(0.1, 2.0)
         normals = rng.normal(size=(k, d))
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-        proxy = assemble_proxy(Tensor(pi[None]), Tensor(proxies), strict=True).data[0]
+        proxy = assemble_proxy(pi[None], proxies, strict=True)[0][0]
         want = float(pi @ np.linalg.norm(proxies, axis=1))
         worst = max(worst, abs(float(np.linalg.norm(proxy)) - want))
     verdict(2, worst < 1e-9, f"10^4 draws, max |norm gap| {worst:.2e}")
@@ -131,19 +131,19 @@ def test_c03_projection_is_orthogonal_idempotent_and_score_invariant():
     worst_dot, worst_idem, worst_inv = 0.0, 0.0, 0.0
 
     def dissimilarity(proxy, short, item, v):
-        q = query(Tensor(proxy[None]), v, Tensor(short[None]), "full")
-        return float(distance(q, project(Tensor(item[None]), v, "full"), "full").data[0])
+        q = query(proxy[None], v, short[None], "full")
+        return float(distance(q, project(item[None], v, "full"), "full")[0])
 
     for _ in range(10_000):
         d = int(rng.integers(2, 17))
         v = rng.normal(size=d)
         v /= np.linalg.norm(v)
         x = rng.normal(size=d) * rng.uniform(0.1, 3.0)
-        vt = Tensor(v[None])
-        proj = project(Tensor(x[None]), vt, "full").data[0]
+        vt = v[None]
+        proj = project(x[None], vt, "full")[0]
         worst_dot = max(worst_dot, abs(float(v @ proj)))
         worst_idem = max(
-            worst_idem, float(np.abs(project(Tensor(proj[None]), vt, "full").data[0] - proj).max())
+            worst_idem, float(np.abs(project(proj[None], vt, "full")[0] - proj).max())
         )
         proxy = rng.normal(size=d)
         short = rng.normal(size=d)
@@ -193,14 +193,14 @@ def test_c05_cold_selection_concentrates_for_every_bank_size():
         logits[0] = 0.0
         if k > 1:
             logits[1] = -0.1
-        pi = selection_distribution(Tensor(logits[None]), 0.01).data[0]
+        pi = selection_distribution(logits[None], 0.01)[0]
         worst_pi = min(worst_pi, float(pi[0]))
 
         # everyone parked exactly at the gap: mass matches the closed form
         tied = np.full(k, -0.1)
         tied[0] = 0.0
         bound = 1.0 / (1.0 + (k - 1) * math.exp(-10.0))
-        got = float(selection_distribution(Tensor(tied[None]), 0.01).data[0, 0])
+        got = float(selection_distribution(tied[None], 0.01)[0, 0])
         worst_gap = max(worst_gap, abs(got - bound) / bound)
     verdict(
         5,
@@ -275,7 +275,7 @@ def test_c07_unseen_task_bars_prefix_items_everywhere():
     masks = [inst.prefix for inst in instances]
     offenders = 0
     table = catalog_table(params.items)
-    for inst, scores in zip(instances, catalog_scores(q.data, v.data, table, "full", masks)):
+    for inst, scores in zip(instances, catalog_scores(q, v, table, "full", masks)):
         top20 = np.lexsort((np.arange(scores.shape[0]), scores))[:20]
         offenders += bool(set(int(i) for i in top20) & set(inst.prefix))
     verdict(

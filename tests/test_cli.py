@@ -401,6 +401,23 @@ def test_train_with_tables_beyond_the_address_space_exits_1(prepared, capsys):
             in err)
 
 
+def test_failed_train_keeps_the_earlier_runs_logs(prepared, capsys):
+    # a 2-epoch run, then one that fails in set-up into the same directory:
+    # the logs are written under temporary names and renamed into place only
+    # after the checkpoint, so the failed run leaves the first run's bytes
+    tmp_path, data, cfg = prepared
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(data), "--out-dir", str(out), "--config", str(cfg)]) == 0
+    logs = {name: (out / name).read_bytes() for name in ("train_log.jsonl", "train_timing.jsonl")}
+    assert all(logs.values())
+    rc = main(["train", "--data", str(data), "--out-dir", str(out),
+               "--config", str(cfg), "--set", "embed_dim=1099511627776"])
+    assert rc == 1
+    assert {name: (out / name).read_bytes() for name in logs} == logs
+    assert not list(out.glob("*.tmp"))
+    capsys.readouterr()
+
+
 def test_train_rejects_bad_config_with_exit_1(prepared, capsys):
     tmp_path, data, _ = prepared
     bad = tmp_path / "bad.cfg"

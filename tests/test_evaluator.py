@@ -24,8 +24,7 @@ def score_instance(params, instance, tau, task, mode="full"):
     leaves = {name: Tensor(arr) for name, arr in params.named().items()}
     _, v, q = session_state([instance], params.bias_rows([instance]), leaves, tau, mode, True)
     masks = [instance.prefix] if task == "unseen" else None
-    vd = None if v is None else v.data
-    return catalog_scores(q.data, vd, catalog_table(params.items), mode, masks)[0]
+    return catalog_scores(q, v, catalog_table(params.items), mode, masks)[0]
 
 
 def slow_rank(scores, target):

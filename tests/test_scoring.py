@@ -25,30 +25,30 @@ def unit(v):
 
 
 def rows(x):
-    return None if x is None else Tensor(np.atleast_2d(x))
+    return None if x is None else np.atleast_2d(x)
 
 
 def project_to_hyperplane(x, v):
     """x (d,) or a stack (n, d) projected onto the hyperplane of one normal."""
-    out = project(rows(x), rows(v), "full").data
+    out = project(rows(x), rows(v), "full")
     return out if np.ndim(x) > 1 else out[0]
 
 
 def hyperplane_normal(pi, normals, strict=True):
-    return assemble_normal(Tensor(pi[None]), Tensor(normals), strict).data[0]
+    return assemble_normal(pi[None], normals, strict)[0][0]
 
 
 def dissimilarity(proxy, short, item_vec, normal, mode="full"):
     """One session state against one item (d,) or a stack (n, d)."""
     v = rows(normal)
     q = query(rows(proxy), v, rows(short), mode)
-    out = distance(q, project(rows(item_vec), v, mode), mode).data
+    out = distance(q, project(rows(item_vec), v, mode), mode)
     return out if np.ndim(item_vec) > 1 else float(out[0])
 
 
 def score_catalog(proxy, short, normal, table, mask=None, mode="full"):
     """One session's catalog row through the folded one-GEMM scorer."""
-    q = query(rows(proxy), rows(normal), rows(short), mode).data
+    q = query(rows(proxy), rows(normal), rows(short), mode)
     v = None if normal is None else np.atleast_2d(normal)
     return catalog_scores(q, v, catalog_table(table), mode, None if mask is None else [mask])[0]
 
@@ -250,7 +250,7 @@ class TestPaddedBatch:
         for b, inst in enumerate(instances):
             alone = session_state([inst], bias_rows[b : b + 1], leaves, 0.5, "full", strict)
             for got, want in zip(batch, alone):
-                np.testing.assert_allclose(got.data[b], want.data[0], rtol=0, atol=1e-12)
+                np.testing.assert_allclose(got[b], want[0], rtol=0, atol=1e-12)
             np.testing.assert_allclose(
                 logits[b], selection_logits([sessions[b]], leaves).data[0], rtol=0, atol=1e-12
             )

@@ -22,13 +22,13 @@ DEFAULT = AnnealSchedule(3.0, 0.01, 10)
 
 def selection_distribution(logits, tau, bias=None):
     """One distribution through the batched softmax."""
-    b = None if bias is None else Tensor(np.asarray(bias)[None])
-    return batched_distribution(Tensor(np.asarray(logits)[None]), tau, b).data[0]
+    b = None if bias is None else np.asarray(bias)[None]
+    return batched_distribution(np.asarray(logits)[None], tau, b)[0]
 
 
 def proxy_and_gamma(pi, proxies, strict=True):
     """One assembled proxy and its rescaling factor ||proxy|| / ||pi @ P||."""
-    proxy = assemble_proxy(Tensor(pi[None]), Tensor(proxies), strict).data[0]
+    proxy = assemble_proxy(pi[None], proxies, strict)[0][0]
     combined = np.linalg.norm(pi @ proxies)
     return proxy, float(np.linalg.norm(proxy) / combined) if combined else 0.0
 
@@ -239,8 +239,8 @@ class TestSelectionPaths:
 
     def _pi(self, params, inst, strict):
         leaves = {name: Tensor(arr) for name, arr in params.named().items()}
-        pi, _, _ = select([inst], params.bias_rows([inst]), leaves, 1.0, strict)
-        return pi.data[0]
+        pi, _ = select([inst], params.bias_rows([inst]), leaves, 1.0, strict)
+        return pi[0]
 
     def test_training_uses_whole_parent_session(self):
         params = self._model()
