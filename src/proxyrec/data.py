@@ -493,9 +493,15 @@ def write_split_manifest(
     """Persist a split as three session files, the item map, and stats.
 
     Output bytes are a pure function of the split and configuration, so a
-    re-run over identical input produces identical files.
+    re-run over identical input produces identical files. An earlier run's
+    manifest is removed first and the new one written last, so no manifest
+    vouches for half-written split files.
     """
     os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.remove(os.path.join(out_dir, MANIFEST_FILE))
+    except FileNotFoundError:
+        pass
     parts = {"train": split.train, "valid": split.valid, "test": split.test}
     for name, sessions in parts.items():
         with open(os.path.join(out_dir, _SPLIT_FILES[name]), "w", encoding="utf-8") as fh:

@@ -200,7 +200,7 @@ def assemble_normal(pi: np.ndarray, normals: np.ndarray, strict: bool):
 
 
 def select(instances, bias_rows, leaves: dict[str, Tensor], tau: float, strict: bool,
-           normal_first: bool = True):
+           normal_share: str | None = "first"):
     """Selection distributions pi (B, K) and one recorded op whose output
     stacks the proxies p and the unit hyperplane normals v, (2, B, d).
 
@@ -209,8 +209,10 @@ def select(instances, bias_rows, leaves: dict[str, Tensor], tau: float, strict: 
     each whole parent session. The op runs over the logits, proxies, normals
     and, when the table holds known users, user_bias. Its VJP sums pi's
     gradient from the normal's share and the proxy's two (the mixed norms',
-    then the mixture's); normal_first puts the normal's share first, the
-    order in which a loss holding the orthogonality term reaches them.
+    then the mixture's). normal_share says where the normal's share goes:
+    "first", the order in which a loss holding the orthogonality term
+    reaches them, "last", or None for a loss that reads v nowhere, which
+    skips the normal's branch and hands normals no gradient.
     """
     sessions = [i.prefix if strict else i.parent_items for i in instances]
     logits = selection_logits(sessions, leaves)
@@ -247,12 +249,13 @@ def select(instances, bias_rows, leaves: dict[str, Tensor], tau: float, strict: 
 
     def backward(g):
         g_p, g_v = g
-        if normal_first:
+        if normal_share == "first":
             g_pi = normal_vjp(g_v)
             shares = proxy_vjp(g_p)
         else:
             g_pi, *shares = proxy_vjp(g_p)
-            shares.append(normal_vjp(g_v))
+            if normal_share == "last":
+                shares.append(normal_vjp(g_v))
         for share in shares:
             g_pi += share
         # the softmax, the temperature and the bias

@@ -22,12 +22,16 @@ Each leaf gets one gradient array per epoch, zeroed in place before every
 batch. Adam runs over cache-sized blocks of rows in two scratch rows the
 Adam state keeps, in the operation order of the plain expressions, so it is
 bit-identical to computing them with table-sized temporaries. Each batch's
-negatives come from one sample_negatives call.
+negatives come from one sample_negatives call. fit first raises glibc
+malloc's mmap and trim thresholds for the whole process, so the memory one
+batch's graph frees is reused by the next instead of being returned to the
+system and faulted back in.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import dataclasses
 import json
 import math
@@ -341,6 +345,15 @@ def _distance_vjp(g_out: np.ndarray, q: np.ndarray, x: np.ndarray, dot: bool):
     return g_q, g_x
 
 
+def _normal_share(cfg: TrainConfig) -> str | None:
+    """Where select's VJP puts the normal's share of pi's gradient for the
+    loss of cfg: first when J holds the orthogonality term, last when only
+    the projections read v, None when J reads v nowhere."""
+    if cfg.lambda_orthog != 0.0:
+        return "first"
+    return "last" if mode_terms(cfg.mode).projected else None
+
+
 def loss_head(neg_rows: Tensor, s: Tensor | None, pos_rows: Tensor, pv: Tensor | None,
               cfg: TrainConfig) -> tuple[Tensor, dict]:
     """The batch loss J and its telemetry parts, as one recorded op over the
@@ -432,7 +445,7 @@ def loss_head(neg_rows: Tensor, s: Tensor | None, pos_rows: Tensor, pv: Tensor |
             pv.accum(np.stack((g_p, g_v)))
 
     first, last = (pos_rows, neg_rows) if targets_first else (neg_rows, pos_rows)
-    v_unread = not terms.projected and cfg.lambda_orthog == 0.0
+    v_unread = _normal_share(cfg) is None
     inputs = (first, pv, s, last) if v_unread else (first, s, last, pv)
     inputs = tuple(t for t in inputs if t is not None)
     return Tensor.record(np.asarray(J), inputs, backward), parts
@@ -466,8 +479,8 @@ def objective(
     terms = mode_terms(cfg.mode)
     pv = s = None
     if terms.proxy:
-        orthog = cfg.lambda_orthog != 0.0
-        pv = select(instances, bias_rows, leaves, tau, strict=False, normal_first=orthog)[1]
+        pv = select(instances, bias_rows, leaves, tau, strict=False,
+                    normal_share=_normal_share(cfg))[1]
     if terms.short:
         s = encode_prefixes([i.prefix for i in instances], leaves)
     items = leaves["items"]
@@ -555,6 +568,20 @@ def pick_known_users(split: SessionSplit, cfg: TrainConfig) -> list[str]:
     )
 
 
+def _keep_freed_heap() -> None:
+    """Set glibc malloc's mmap threshold (M_MMAP_THRESHOLD, -3) to 32 MB and
+    its trim threshold (M_TRIM_THRESHOLD, -1) to 64 MB, where its dynamic
+    rule tops out: blocks up to 32 MB come from the heap, and up to 64 MB of
+    free heap top stays mapped. Both are needed, since setting either one
+    turns the dynamic rule off. Does nothing where mallopt is not found."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(-3, 32 << 20)
+    mallopt(-1, 64 << 20)
+
+
 def fit(
     split: SessionSplit,
     cfg: TrainConfig,
@@ -575,6 +602,7 @@ def fit(
     """
     if start_epoch >= cfg.epochs:
         raise ConfigError(f"start_epoch {start_epoch} leaves no epoch of {cfg.epochs} to run")
+    _keep_freed_heap()
     known = set(known_users or [])
     train_inst = expand_all(split.train, cfg.task, known)
     valid_inst = expand_all(split.valid, cfg.task, known)

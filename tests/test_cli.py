@@ -9,8 +9,10 @@ import zlib
 
 import pytest
 
+from proxyrec import data as data_module
 from proxyrec.cli import ablation_variants, main, read_config_file, resolve_config
-from proxyrec.errors import ConfigError
+from proxyrec.data import read_split_manifest
+from proxyrec.errors import ConfigError, DataError
 from proxyrec.synth import planted_corpus
 from proxyrec.trainer import TrainConfig, load_checkpoint
 
@@ -132,6 +134,37 @@ def test_prepare_writes_stats_and_is_rerunnable(prepared, capsys):
     capsys.readouterr()
     for name, blob in first.items():
         assert (data2 / name).read_bytes() == blob
+
+
+def test_failed_prepare_leaves_no_manifest_over_rewritten_split_files(
+    prepared, capsys, monkeypatch
+):
+    tmp_path, data, _ = prepared
+    other = tmp_path / "other.tsv"
+    write_log(other, planted_corpus(
+        n_users=6, n_items=60, sessions_per_user=25, owners_per_item=3, seed=1
+    ))
+    old_train = (data / "train.jsonl").read_bytes()
+    opened = []
+
+    def failing_open(path, *args, **kwargs):
+        if os.path.basename(path) in ("train.jsonl", "valid.jsonl", "test.jsonl"):
+            opened.append(path)
+            if len(opened) == 2:
+                raise OSError(28, "No space left on device", path)
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(data_module, "open", failing_open, raising=False)
+    capsys.readouterr()
+    rc = main(["prepare", "--input", str(other), "--out-dir", str(data), "--min-item-count", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "No space left on device" in err and "Traceback" not in err
+    # the train file is the new run's, the others the earlier run's: no
+    # manifest may pair them
+    assert (data / "train.jsonl").read_bytes() != old_train
+    with pytest.raises(DataError, match="no manifest .* run prepare first"):
+        read_split_manifest(str(data))
 
 
 def test_prepare_ten_session_toy_log(tmp_path, capsys):

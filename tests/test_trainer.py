@@ -1,9 +1,11 @@
 """Training loop: objective graph, Adam, constraints, checkpoints, resume."""
 
+import ctypes
 import dataclasses
 import importlib
 import json
 import os
+import platform
 import struct
 import subprocess
 import sys
@@ -157,6 +159,26 @@ class TestObjective:
         terms = mode_terms(mode)
         drop = {"encoder"} if not terms.short else {"selector"} if not terms.proxy else set()
         assert seen == [n for n in order if n not in drop]
+
+    @pytest.mark.parametrize("mode,lambda_orthog,read", [
+        ("no_projection", 0.0, False),
+        ("no_projection", 0.1, True),
+        ("full", 0.0, True),
+        ("proxy_only", 0.0, True),
+    ])
+    def test_normals_get_a_gradient_only_where_the_loss_reads_v(self, mode, lambda_orthog, read):
+        # without projections and the orthogonality term J reads v nowhere,
+        # so the selection tail skips its normal branch
+        cfg = small_cfg(mode=mode, lambda_orthog=lambda_orthog)
+        rng = np.random.default_rng(21)
+        params = init_model(10, cfg, user_tags=["u1", "u2"])
+        instances = make_instances(rng, 6, 10, known=True)
+        negs = np.stack([rng.integers(1, 11, size=cfg.negatives) for _ in instances])
+        leaves = make_leaves(params)
+        J, _ = objective(instances, leaves, 0.7, cfg, negs, params.bias_rows(instances))
+        J.backward()
+        assert (leaves["normals"].grad is not None) == read
+        assert leaves["proxies"].grad is not None
 
     def test_telemetry_parts(self):
         cfg = small_cfg()
@@ -674,3 +696,66 @@ def test_blas_thread_count_does_not_change_the_trained_bytes():
         )
         digests.append(run.stdout.strip())
     assert digests[0] == digests[1]
+
+
+# a 2-epoch fit of a long_sessions-shaped corpus (sessions of 10 to 50 items,
+# d=32, K=30, batches of 128); prints a digest of the trained parameters, the
+# epoch stats and each epoch's minor page faults per batch. With argument
+# "noop", fit leaves malloc's thresholds as they are.
+_FIT = """
+import hashlib, json, resource, sys
+from proxyrec import trainer
+from proxyrec.data import chronological_split
+from proxyrec.synth import planted_corpus
+if sys.argv[1:] == ["noop"]:
+    trainer._keep_freed_heap = lambda: None
+corpus = planted_corpus(n_users=20, n_items=500, sessions_per_user=20, length_range=(10, 50))
+split = chronological_split(corpus)
+cfg = trainer.TrainConfig(embed_dim=32, proxy_count=30, learning_rate=0.01, batch_size=128,
+                          known_user_ratio=0.5, epochs=2, patience=2, seed=0)
+faults = []
+epoch = trainer.train_epoch
+def counted(*args):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    stats = epoch(*args)
+    faults.append((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / stats["batches"])
+    return stats
+trainer.train_epoch = counted
+result = trainer.fit(split, cfg, trainer.pick_known_users(split, cfg))
+digest = hashlib.sha256(b"".join(a.tobytes() for a in result.params.named().values()))
+print(json.dumps({"digest": digest.hexdigest(), "history": result.history, "faults": faults}))
+"""
+
+
+def _fit_in_subprocess(*args) -> dict:
+    src = str(Path(trainer_module.__file__).parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", _FIT, *args], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=300, check=True,
+    )
+    return json.loads(run.stdout)
+
+
+def _has_glibc_mallopt() -> bool:
+    if not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc":
+        return False
+    return hasattr(ctypes.CDLL(None), "mallopt")
+
+
+@pytest.mark.skipif(not _has_glibc_mallopt(), reason="needs Linux with glibc's mallopt")
+def test_training_steps_do_not_fault_their_heap_back_in():
+    # each batch frees a few MB of graph arrays; fit keeps that memory for
+    # the next batch instead of faulting it back in (about 1,550 faults a
+    # batch when glibc trims the heap top). A fresh process, so no other
+    # test's heap counts
+    faults = _fit_in_subprocess()["faults"]
+    assert len(faults) == 2
+    assert faults[1] <= 100, faults
+
+
+def test_the_trained_bits_do_not_depend_on_the_allocator_setting():
+    # the setting moves where arrays are placed; no kernel may round
+    # differently for that
+    shipped, untouched = _fit_in_subprocess(), _fit_in_subprocess("noop")
+    assert shipped["digest"] == untouched["digest"]
+    assert shipped["history"] == untouched["history"]
