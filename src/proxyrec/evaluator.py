@@ -7,13 +7,17 @@ being padded, and on the unseen task every prefix item is masked out of the
 catalog before ranking.
 
 Instances are scored in instance order, in chunks of at most
-min(CHUNK_ROWS, CHUNK_ELEMENTS // (N+1)) rows. One batched forward gives a
-chunk's query points, and scoring.catalog_scores scores the whole catalog
-against them with folded matrix products: the item table gains a ||x||^2
-column and a ones column once per call, so each chunk costs one matrix
-product and two elementwise passes. The forward packs a chunk's prefixes
-into one run table with no padding, so the order of the instances costs
-nothing.
+min(CHUNK_ROWS, CHUNK_ELEMENTS // (S * (N+1))) rows, where S =
+scoring.stacked_rows(mode) counts the product rows per query: 2 in the
+projected distance modes, which stack the x.v rows under the distance rows,
+else 1. One batched forward gives a chunk's query points, and
+scoring.catalog_scores scores the whole catalog against them with folded
+matrix products: the item table gains a ||x||^2 column and a ones column
+once per call, so each chunk costs one matrix product and two elementwise
+passes. A chunk's product, at most CHUNK_ELEMENTS float64 values, goes
+straight to ranking and is freed before the next chunk's is built, so one
+block is held at a time. The forward packs a chunk's prefixes into one run
+table with no padding, so the order of the instances costs nothing.
 
 A whole chunk is then ranked with array operations. The products may round
 two equal distances differently, so each row's target score st defines a
@@ -40,9 +44,18 @@ import numpy as np
 from .autodiff import Tensor
 from .data import TASKS, PredictionInstance
 from .errors import ConfigError, MetricError, NumericError
-from .scoring import catalog_scores, catalog_table, distance, mode_terms, project, session_state
+from .scoring import (
+    catalog_scores,
+    catalog_table,
+    distance,
+    mode_terms,
+    project,
+    session_state,
+    stacked_rows,
+)
 
-CHUNK_ELEMENTS = 2**20  # catalog scores held per chunk (8 MiB of float64)
+# float64 values in one chunk's catalog product (8 MiB), every stacked row counted
+CHUNK_ELEMENTS = 2**20
 CHUNK_ROWS = 256  # instances per chunk at most; bounds a chunk's run table and score rows
 TIE_BAND = 1e-9  # relative to the squared norms entering the expanded distance
 
@@ -84,7 +97,7 @@ def compute_ranks(
     leaves = {name: Tensor(arr) for name, arr in params.named().items()}
     table = catalog_table(items)
     x_max = float(table[:, -2].max())
-    per_chunk = max(1, min(CHUNK_ROWS, CHUNK_ELEMENTS // items.shape[0]))
+    per_chunk = max(1, min(CHUNK_ROWS, CHUNK_ELEMENTS // (stacked_rows(mode) * items.shape[0])))
     targets = np.fromiter((i.target for i in instances), dtype=np.int64, count=len(instances))
     ranks = np.empty(len(instances), dtype=np.int64)
     for lo in range(0, len(instances), per_chunk):
@@ -93,9 +106,11 @@ def compute_ranks(
         bias_rows = params.bias_rows(chunk)
         _, v, q = session_state(chunk, bias_rows, leaves, tau, mode, strict=True)
         masks = [i.prefix for i in chunk] if task == "unseen" else None
-        scores = catalog_scores(q, v, table, mode, masks)
         bands = TIE_BAND * (1.0 + (q * q).sum(axis=1) + x_max)
-        ranks[where] = _rank_rows(scores, targets[where], bands, q, v, items, mode)
+        # no name keeps the block, so it is freed before the next chunk's
+        ranks[where] = _rank_rows(
+            catalog_scores(q, v, table, mode, masks), targets[where], bands, q, v, items, mode
+        )
     return ranks
 
 

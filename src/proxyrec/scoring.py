@@ -121,6 +121,13 @@ def catalog_table(items: np.ndarray) -> np.ndarray:
     return np.hstack([items, sq, np.ones_like(sq)])
 
 
+def stacked_rows(mode: str) -> int:
+    """Rows of catalog_scores' product per query: 2 where it stacks the x.v
+    rows under the distance rows (the projected distances), else 1."""
+    terms = mode_terms(mode)
+    return 2 if terms.projected and not terms.dot else 1
+
+
 def catalog_scores(
     q: np.ndarray, v: np.ndarray | None, table: np.ndarray, mode: str, masks=None
 ) -> np.ndarray:
@@ -138,21 +145,22 @@ def catalog_scores(
     dot_product scores -q.x_perp = x.((q.v)v - q), one product against X
     alone. Row 0 of the item table is padding and scores +inf, as does every
     id in masks[b] for query row b. The expansion rounds differently from
-    distance(), by far less than any gap it is trusted to order.
+    distance(), by far less than any gap it is trusted to order. The result
+    is a view of the product, so it keeps all stacked_rows(mode) * B of its
+    rows alive until it is released.
     """
     B, d = q.shape
-    terms = mode_terms(mode)
-    projected = terms.projected
-    if terms.dot:
+    stacked = stacked_rows(mode) == 2
+    if mode_terms(mode).dot:
         scores = ((q * v).sum(axis=1, keepdims=True) * v - q) @ table[:, :d].T
     else:
         lhs = np.hstack([-2.0 * q, np.ones((B, 1)), (q * q).sum(axis=1, keepdims=True)])
-        if projected:
+        if stacked:
             lhs[:, :d] += 2.0 * (q * v).sum(axis=1, keepdims=True) * v
             lhs = np.vstack([lhs, np.hstack([v, np.zeros((B, 2))])])
         out = lhs @ table.T
         scores = out[:B]
-        if projected:
+        if stacked:
             vx = out[B:]
             vx *= vx
             scores -= vx

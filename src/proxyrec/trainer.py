@@ -593,7 +593,8 @@ def fit(
 ) -> TrainResult:
     """Train with per-epoch validation recall@20 and early stopping.
 
-    Keeps the best-validation parameter snapshot; stops after cfg.patience
+    Keeps the best-validation snapshot of the parameters and the Adam state,
+    allocated once and overwritten in place; stops after cfg.patience
     epochs without strict improvement or at cfg.epochs, whichever is first.
     Pass start_epoch/params/adam to resume a checkpointed run; everything
     else (shuffles, negatives) replays deterministically from (seed, epoch).
@@ -632,15 +633,20 @@ def fit(
         history.append(stats)
         if log_fn is not None:
             log_fn(stats, round(time.monotonic() - t0, 3))
-        if best is None or stats["val_recall20"] > best.val_recall20:
-            best = TrainResult(
-                params=params.copy(),
-                adam=adam.copy(),
-                epoch=epoch,
-                tau=tau,
-                val_recall20=stats["val_recall20"],
-                history=history,
-            )
+        val = stats["val_recall20"]
+        if best is None:  # the one snapshot; each later improvement overwrites it in place
+            best = TrainResult(params.copy(), adam.copy(), epoch, tau, val, history)
+            bad_epochs = 0
+        elif val > best.val_recall20:
+            for src, dst in (
+                (params.named(), best.params.named()),
+                (adam.m, best.adam.m),
+                (adam.v, best.adam.v),
+            ):
+                for name, arr in src.items():
+                    np.copyto(dst[name], arr)
+            best.adam.step = adam.step
+            best.epoch, best.tau, best.val_recall20 = epoch, tau, val
             bad_epochs = 0
         else:
             bad_epochs += 1
@@ -687,7 +693,7 @@ def save_checkpoint(
     }
     meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
-    def write_block(fh, *parts: bytes) -> None:
+    def write_block(fh, *parts: bytes | memoryview) -> None:
         crc = 0
         for part in parts:
             fh.write(part)
@@ -706,7 +712,7 @@ def save_checkpoint(
                 name_b = name.encode("utf-8")
                 head = struct.pack("<H", len(name_b)) + name_b
                 head += struct.pack(f"<B{arr.ndim}Q", arr.ndim, *arr.shape)
-                write_block(fh, head, arr.tobytes(order="C"))
+                write_block(fh, head, memoryview(arr))  # the array's own bytes, not a copy
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

@@ -1,5 +1,7 @@
 """Ranking metrics and the inference scoring path."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -148,9 +150,26 @@ class TestEvaluate:
         params, instances = self._setup()
         usable = [i for i in instances if i.target not in i.prefix]
         whole = compute_ranks(params, usable, "unseen", 1.0)
-        for rows in (1, 3, 7):  # 16 catalog rows: CHUNK_ELEMENTS // 16 == rows
-            monkeypatch.setattr(evaluator, "CHUNK_ELEMENTS", 16 * rows)
+        for rows in (1, 3, 7):  # 16 catalog rows, 2 stacked per instance in "full" mode
+            monkeypatch.setattr(evaluator, "CHUNK_ELEMENTS", 2 * 16 * rows)
             np.testing.assert_array_equal(compute_ranks(params, usable, "unseen", 1.0), whole)
+
+    def test_ranking_holds_one_chunk_block_at_a_time(self, monkeypatch):
+        # 32 rows a chunk, 4 chunks; a block is 2 stacked rows of N+1 float64
+        # per instance in "full" mode, so CHUNK_ELEMENTS * 8 bytes
+        n_items, rows = 2000, 32
+        params = init_model(n_items, TrainConfig(embed_dim=4, proxy_count=3, max_len=8, seed=3))
+        instances = build_instances(np.random.default_rng(3), 4 * rows, n_items)
+        monkeypatch.setattr(evaluator, "CHUNK_ELEMENTS", 2 * (n_items + 1) * rows)
+        compute_ranks(params, instances, "repeat", 1.0)  # warm any first-call caches
+        tracemalloc.start()
+        try:
+            compute_ranks(params, instances, "repeat", 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table = catalog_table(params.items).nbytes
+        assert peak < table + 1.5 * evaluator.CHUNK_ELEMENTS * 8
 
     def test_evaluate_report(self):
         params, instances = self._setup()

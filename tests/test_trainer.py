@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from proxyrec import evaluator as evaluator_module
 from proxyrec import trainer as trainer_module
 from proxyrec.data import (
     PredictionInstance,
@@ -26,6 +27,7 @@ from proxyrec.data import (
 from proxyrec.autodiff import Tensor
 from proxyrec.cli import main
 from proxyrec.errors import CheckpointError, ConfigError, DataError, LengthError
+from proxyrec.evaluator import MetricsReport
 from proxyrec.scoring import mode_terms
 from proxyrec.selector import temperature
 from proxyrec.synth import planted_corpus
@@ -478,6 +480,34 @@ class TestFit:
         assert result.val_recall20 == max(vals)
         assert result.epoch == int(np.argmax(vals))
         assert result.tau == result.history[result.epoch]["tau"]
+
+    def test_snapshot_keeps_the_best_epochs_bytes(self, monkeypatch):
+        # validation recall is scripted, so epoch 1 is best and epoch 2 worse;
+        # fit looks proxyrec.evaluator.evaluate up per call
+        def scripted(*recalls):
+            it = iter(recalls)
+            return lambda *args, **kwargs: MetricsReport({20: next(it)}, {20: 0.0}, 1)
+
+        split = chronological_split(tiny_sessions())
+        cfg = small_cfg(epochs=3, patience=3)
+        monkeypatch.setattr(evaluator_module, "evaluate", scripted(0.1, 0.3, 0.2))
+        result = fit(split, cfg, [])
+        assert (result.epoch, result.val_recall20, len(result.history)) == (1, 0.3, 3)
+        assert result.tau == result.history[1]["tau"]
+        # the live state of a fit that stops after epoch 1
+        params = init_model(split.item_count, cfg, [])
+        adam = AdamState.zeros(params.named())
+        monkeypatch.setattr(evaluator_module, "evaluate", scripted(0.1, 0.3))
+        fit(split, dataclasses.replace(cfg, epochs=2), [], params=params, adam=adam)
+        assert result.adam.step == adam.step
+        for got, want in (
+            (result.params.named(), params.named()),
+            (result.adam.m, adam.m),
+            (result.adam.v, adam.v),
+        ):
+            assert got.keys() == want.keys()
+            for name in want:
+                assert got[name].tobytes() == want[name].tobytes(), name
 
     def test_start_epoch_past_the_last_is_rejected(self):
         split = chronological_split(tiny_sessions())
