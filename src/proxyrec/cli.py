@@ -175,31 +175,15 @@ def _parse_int_list(text: str, what: str, n: int | None = None) -> tuple[int, ..
 
 
 @contextlib.contextmanager
-def _epoch_logs(out_dir: str, log_name: str, timing_name: str, echo: bool):
-    """A fit log_fn writing each epoch's stats to log_name and its seconds to
-    timing_name, so the stats file is the same bytes on every rerun. Both are
-    written under temporary names and renamed into place when the with-block
-    succeeds; when it raises they are removed, so the logs of an earlier run
-    in out_dir keep their bytes."""
-    paths = [os.path.join(out_dir, name) for name in (log_name, timing_name)]
+def _staged(out_dir: str, *names: str):
+    """Text files opened for writing under temporary names and renamed onto
+    names in out_dir only when the with-block succeeds; when it raises they
+    are removed, so an earlier run's files keep their bytes."""
+    paths = [os.path.join(out_dir, name) for name in names]
     temps = [f"{path}.{os.getpid()}.tmp" for path in paths]
     try:
-        with open(temps[0], "w", encoding="utf-8") as log, open(
-            temps[1], "w", encoding="utf-8"
-        ) as timing:
-
-            def log_line(stats: dict, seconds: float) -> None:
-                log.write(json.dumps(stats, sort_keys=True) + "\n")
-                log.flush()
-                timing.write(json.dumps({"epoch": stats["epoch"], "seconds": seconds}) + "\n")
-                timing.flush()
-                if echo:
-                    print(
-                        f"epoch {stats['epoch']:>3}  loss {stats['loss']:.4f}  "
-                        f"val R@20 {stats['val_recall20']:.4f}  ({seconds:.1f}s)"
-                    )
-
-            yield log_line
+        with contextlib.ExitStack() as stack:
+            yield [stack.enter_context(open(temp, "w", encoding="utf-8")) for temp in temps]
         for temp, path in zip(temps, paths):
             os.replace(temp, path)
     except BaseException:
@@ -207,6 +191,27 @@ def _epoch_logs(out_dir: str, log_name: str, timing_name: str, echo: bool):
             with contextlib.suppress(OSError):
                 os.unlink(temp)
         raise
+
+
+@contextlib.contextmanager
+def _epoch_logs(out_dir: str, log_name: str, timing_name: str, echo: bool):
+    """A fit log_fn writing each epoch's stats to log_name and its seconds to
+    timing_name, so the stats file is the same bytes on every rerun. Both are
+    _staged in out_dir."""
+    with _staged(out_dir, log_name, timing_name) as (log, timing):
+
+        def log_line(stats: dict, seconds: float) -> None:
+            log.write(json.dumps(stats, sort_keys=True) + "\n")
+            log.flush()
+            timing.write(json.dumps({"epoch": stats["epoch"], "seconds": seconds}) + "\n")
+            timing.flush()
+            if echo:
+                print(
+                    f"epoch {stats['epoch']:>3}  loss {stats['loss']:.4f}  "
+                    f"val R@20 {stats['val_recall20']:.4f}  ({seconds:.1f}s)"
+                )
+
+        yield log_line
 
 
 def cmd_prepare(args) -> int:
@@ -311,11 +316,10 @@ def cmd_evaluate(args) -> int:
         },
         **report.as_dict(),
     }
-    with open(os.path.join(out_dir, stem + ".json"), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    with open(os.path.join(out_dir, stem + ".txt"), "w", encoding="utf-8") as fh:
-        fh.write(report.as_text() + "\n")
+    with _staged(out_dir, stem + ".json", stem + ".txt") as (js, txt):
+        json.dump(payload, js, sort_keys=True, indent=2)
+        js.write("\n")
+        txt.write(report.as_text() + "\n")
     print(report.as_text())
     return 0
 

@@ -35,10 +35,13 @@ proxies and hyperplane normals, returned stacked as one (2, B, d) output.
 Its forward is selection_distribution, assemble_proxy and assemble_normal,
 numpy functions that evaluate the expressions of the autodiff ops they
 replaced in the same order; the last two also return the intermediates the
-VJP reads. The VJP walks back the normal's normalization, the proxy's
-rescale (the bank takes its row norms' share before its mixture's), the
-softmax and 1/tau, and hands the logits and, through Tensor.accum_rows, the
-user-bias rows their gradient.
+VJP reads. The VJP runs in one order for every loss configuration: it
+walks back the normal's normalization, then the proxy's rescale (the bank
+takes its row norms' share before its mixture's), so pi's gradient sums the
+normal's share, the mixed norms', then the mixture's; then the softmax and
+1/tau, and hands the logits and, through Tensor.accum_rows, the user-bias
+rows their gradient. A loss that reads v nowhere hands v a zero gradient,
+and the normal branch runs on it.
 
 The caller's strict flag picks the regime: during training (non-strict) the
 distribution is computed from the whole parent session, including the items
@@ -199,8 +202,7 @@ def assemble_normal(pi: np.ndarray, normals: np.ndarray, strict: bool):
     return w / den, w, norms, den
 
 
-def select(instances, bias_rows, leaves: dict[str, Tensor], tau: float, strict: bool,
-           normal_share: str | None = "first"):
+def select(instances, bias_rows, leaves: dict[str, Tensor], tau: float, strict: bool):
     """Selection distributions pi (B, K) and one recorded op whose output
     stacks the proxies p and the unit hyperplane normals v, (2, B, d).
 
@@ -208,11 +210,9 @@ def select(instances, bias_rows, leaves: dict[str, Tensor], tau: float, strict: 
     anonymous row). Strict selection reads each prefix, non-strict selection
     each whole parent session. The op runs over the logits, proxies, normals
     and, when the table holds known users, user_bias. Its VJP sums pi's
-    gradient from the normal's share and the proxy's two (the mixed norms',
-    then the mixture's). normal_share says where the normal's share goes:
-    "first", the order in which a loss holding the orthogonality term
-    reaches them, "last", or None for a loss that reads v nowhere, which
-    skips the normal's branch and hands normals no gradient.
+    gradient in one order for every loss: the normal's share, then the
+    proxy's two (the mixed norms', then the mixture's). A loss that reads v
+    nowhere hands v a zero gradient, so normals get an exact zero.
     """
     sessions = [i.prefix if strict else i.parent_items for i in instances]
     logits = selection_logits(sessions, leaves)
@@ -227,16 +227,15 @@ def select(instances, bias_rows, leaves: dict[str, Tensor], tau: float, strict: 
     p, combined, bank, mixed, norms, den, gamma = assemble_proxy(pi, proxies.data, strict)
     v, w, w_norms, w_den = assemble_normal(pi, normals.data, strict)
 
-    def normal_vjp(g_v):
-        # v = w / w_den, w_den = ||w|| (+ EPS), w = pi @ normals
+    def backward(g):
+        g_p, g_v = g
+        # the normal: v = w / w_den, w_den = ||w|| (+ EPS), w = pi @ normals
         g_w = g_v / w_den
         g_norms = (-g_v * w / (w_den * w_den)).sum(axis=1, keepdims=True)
         g_w += g_norms * w / np.maximum(w_norms, 1e-300)
         normals.accum(np.matmul(pi.T, g_w))
-        return np.matmul(g_w, normals.data.T)
-
-    def proxy_vjp(g_p):
-        # p = gamma * combined, gamma = mixed / den, den = ||combined|| (+ EPS)
+        g_pi = np.matmul(g_w, normals.data.T)
+        # the proxy: p = gamma * combined, gamma = mixed / den, den = ||combined|| (+ EPS)
         g_gamma = (g_p * combined).sum(axis=1)
         g_combined = g_p * gamma
         g_mixed = g_gamma / den
@@ -245,19 +244,9 @@ def select(instances, bias_rows, leaves: dict[str, Tensor], tau: float, strict: 
         proxies.accum(g_bank[:, None] * proxies.data / np.maximum(bank, 1e-300)[:, None])
         g_combined += g_den[:, None] * combined / np.maximum(norms, 1e-300)[:, None]
         proxies.accum(np.matmul(pi.T, g_combined))
-        return np.matmul(g_mixed[:, None], bank[:, None].T), np.matmul(g_combined, proxies.data.T)
-
-    def backward(g):
-        g_p, g_v = g
-        if normal_share == "first":
-            g_pi = normal_vjp(g_v)
-            shares = proxy_vjp(g_p)
-        else:
-            g_pi, *shares = proxy_vjp(g_p)
-            if normal_share == "last":
-                shares.append(normal_vjp(g_v))
-        for share in shares:
-            g_pi += share
+        # pi's gradient: the normal's share, the mixed norms', then the mixture's
+        g_pi += np.matmul(g_mixed[:, None], bank[:, None].T)
+        g_pi += np.matmul(g_combined, proxies.data.T)
         # the softmax, the temperature and the bias
         g_z = pi * (g_pi - (g_pi * pi).sum(axis=-1, keepdims=True))
         g_z /= tau

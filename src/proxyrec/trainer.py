@@ -217,11 +217,11 @@ def project_constraints(params: ModelParams) -> None:
     """Clip item/proxy rows into the unit ball; renormalize normal rows."""
     named = params.named()
     for table in (named["items"], named["proxies"]):
-        norms = np.linalg.norm(table, axis=1)
+        norms = row_norms(table)
         over = norms > 1.0
         if over.any():
             table[over] /= norms[over, None]
-    named["normals"] /= np.maximum(np.linalg.norm(named["normals"], axis=1), EPS)[:, None]
+    named["normals"] /= np.maximum(row_norms(named["normals"]), EPS)[:, None]
     named["user_bias"][0] = 0.0
 
 
@@ -345,15 +345,6 @@ def _distance_vjp(g_out: np.ndarray, q: np.ndarray, x: np.ndarray, dot: bool):
     return g_q, g_x
 
 
-def _normal_share(cfg: TrainConfig) -> str | None:
-    """Where select's VJP puts the normal's share of pi's gradient for the
-    loss of cfg: first when J holds the orthogonality term, last when only
-    the projections read v, None when J reads v nowhere."""
-    if cfg.lambda_orthog != 0.0:
-        return "first"
-    return "last" if mode_terms(cfg.mode).projected else None
-
-
 def loss_head(neg_rows: Tensor, s: Tensor | None, pos_rows: Tensor, pv: Tensor | None,
               cfg: TrainConfig) -> tuple[Tensor, dict]:
     """The batch loss J and its telemetry parts, as one recorded op over the
@@ -367,15 +358,11 @@ def loss_head(neg_rows: Tensor, s: Tensor | None, pos_rows: Tensor, pv: Tensor |
     the distances' differences rather than keep them.
 
     Floating point addition does not associate, so v and the items table
-    take their contributions in one fixed order, the one trained
-    checkpoints' bits rest on: v the negatives' projection's, the short-term
-    state's, the targets', then the orthogonality term's; items, through the
-    inputs' order, the negatives' gather's, the encoder's, the targets'
-    gather's, then the selector's. With lambda_dist = 0 the targets'
-    distance has one use, and the order takes it first: the targets' and
-    the negatives' places swap. When J reads v nowhere (no_projection
-    without the orthogonality term), the selector's place is right after
-    the query's: pv comes before s.
+    take their contributions in one fixed order, the same for every mode and
+    both lambdas, minus the absent terms: v the negatives' projection's, the
+    short-term state's, the targets', then the orthogonality term's; items,
+    through the inputs' order, the negatives' gather's, the encoder's, the
+    targets' gather's, then the selector's.
     """
     terms, mode = mode_terms(cfg.mode), cfg.mode
     neg, pos = neg_rows.data, pos_rows.data
@@ -402,7 +389,6 @@ def loss_head(neg_rows: Tensor, s: Tensor | None, pos_rows: Tensor, pv: Tensor |
             J = J + orthog * cfg.lambda_orthog
     parts = {"hinge": float(hinge), "reg_dist": float(d_pos.sum()),
              "reg_orthog": float(orthog), "loss": float(J)}
-    targets_first = cfg.lambda_dist == 0.0
 
     def backward(g):
         # the hinge, the distance regularizer, then both distances' VJPs
@@ -426,8 +412,7 @@ def loss_head(neg_rows: Tensor, s: Tensor | None, pos_rows: Tensor, pv: Tensor |
             s_shares = []
             if terms.short:
                 g_s, s_shares = _project_vjp(g_q, s.data, v)
-            first, last = (pos_shares, neg_shares) if targets_first else (neg_shares, pos_shares)
-            v_shares = first + s_shares + last
+            v_shares = neg_shares + s_shares + pos_shares
         # the orthogonality term |v.p| / (||p|| + EPS)
         if terms.proxy and cfg.lambda_orthog != 0.0:
             g_ratio = np.broadcast_to(g * cfg.lambda_orthog, (B,))
@@ -444,10 +429,7 @@ def loss_head(neg_rows: Tensor, s: Tensor | None, pos_rows: Tensor, pv: Tensor |
             g_v = sum(v_shares[1:], v_shares[0]) if v_shares else np.zeros((B, d))
             pv.accum(np.stack((g_p, g_v)))
 
-    first, last = (pos_rows, neg_rows) if targets_first else (neg_rows, pos_rows)
-    v_unread = _normal_share(cfg) is None
-    inputs = (first, pv, s, last) if v_unread else (first, s, last, pv)
-    inputs = tuple(t for t in inputs if t is not None)
+    inputs = tuple(t for t in (neg_rows, s, pos_rows, pv) if t is not None)
     return Tensor.record(np.asarray(J), inputs, backward), parts
 
 
@@ -479,8 +461,7 @@ def objective(
     terms = mode_terms(cfg.mode)
     pv = s = None
     if terms.proxy:
-        pv = select(instances, bias_rows, leaves, tau, strict=False,
-                    normal_share=_normal_share(cfg))[1]
+        pv = select(instances, bias_rows, leaves, tau, strict=False)[1]
     if terms.short:
         s = encode_prefixes([i.prefix for i in instances], leaves)
     items = leaves["items"]

@@ -22,7 +22,7 @@ from proxyrec import autodiff as ad
 from proxyrec.autodiff import Tensor
 from proxyrec.data import PredictionInstance
 from proxyrec.encoder import encode_prefixes
-from proxyrec.errors import GradientError
+from proxyrec.errors import GradientError, ShapeError
 from proxyrec.scoring import distance, mode_terms
 from proxyrec.selector import row_norms, select, selection_distribution
 from proxyrec.trainer import TrainConfig, _distance_vjp, loss_head
@@ -241,6 +241,11 @@ class TestLinalg:
         assert out.data.shape == (2, 2, 2)
         weighted_sum(out, np.ones((2, 2, 2))).backward()
         assert table.grad[1].sum() == pytest.approx(2 * 2)
+
+    def test_gather_rejects_a_float_index(self):
+        table = Tensor(RNG.normal(size=(4, 2)), requires_grad=True)
+        with pytest.raises(ShapeError, match="index must be integer"):
+            table.gather(np.array([0.0, 1.0]))
 
     @pytest.mark.parametrize("row_shape", [(), (3,)])
     @pytest.mark.parametrize("index_2d", [False, True])

@@ -9,6 +9,7 @@ import zlib
 
 import pytest
 
+from proxyrec import cli as cli_module
 from proxyrec import data as data_module
 from proxyrec.cli import ablation_variants, main, read_config_file, resolve_config
 from proxyrec.data import read_split_manifest
@@ -560,6 +561,35 @@ def test_evaluate_writes_reports_for_both_tasks(trained, capsys):
         assert payload["config"]["task"] == task
         assert len(payload["recall"]) == 3 and len(payload["mrr"]) == 3
         assert (out / f"report_test_{task}.txt").exists()
+
+
+def test_failed_evaluate_keeps_the_earlier_runs_reports(trained, capsys, monkeypatch):
+    # a first evaluate, then one with other ks whose second report fails to
+    # open: both reports are written under temporary names and renamed into
+    # place only after both are written, so the first run's pair keeps its bytes
+    tmp_path, data, ckpt = trained
+    out = tmp_path / "reports"
+    args = ["evaluate", "--checkpoint", str(ckpt), "--data", str(data), "--out-dir", str(out)]
+    assert main(args) == 0
+    names = ("report_test_unseen.json", "report_test_unseen.txt")
+    reports = {name: (out / name).read_bytes() for name in names}
+    opened = []
+
+    def failing_open(path, *args, **kwargs):
+        if os.path.basename(path).startswith("report_"):
+            opened.append(path)
+            if len(opened) == 2:
+                raise OSError(28, "No space left on device", path)
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli_module, "open", failing_open, raising=False)
+    capsys.readouterr()
+    assert main(args + ["--ks", "5,10"]) == 2
+    err = capsys.readouterr().err
+    assert "No space left on device" in err and "Traceback" not in err
+    assert len(opened) == 2
+    assert {name: (out / name).read_bytes() for name in names} == reports
+    assert not list(out.glob("*.tmp"))
 
 
 def test_evaluate_valid_split_matches_training_log(trained, capsys):
