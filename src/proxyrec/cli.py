@@ -42,6 +42,7 @@ from .errors import CheckpointError, ConfigError, NumericError, ProxyRecError
 from .evaluator import evaluate
 from .trainer import (
     TrainConfig,
+    _keep_freed_heap,
     fit,
     load_checkpoint,
     pick_known_users,
@@ -286,6 +287,7 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     """Score a checkpoint against a prepared split and emit a report."""
+    _keep_freed_heap()  # each ranking chunk then reuses the memory the last one freed
     params, _, meta = load_checkpoint(args.checkpoint)
     split, _ = read_split_manifest(args.data)
     if params.item_count != split.item_count:

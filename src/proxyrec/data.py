@@ -462,11 +462,25 @@ def _session_to_json(s: Session) -> str:
     )
 
 
+_DECODER = json.JSONDecoder()  # the decoder json.loads uses when given no options
+
+
+def _parse_line(line: str):
+    """json.loads(line). A line holding one value and then its newline takes
+    a single scan; any other line goes through json.loads itself, so its
+    errors keep their wording."""
+    try:
+        value, end = _DECODER.raw_decode(line)
+    except ValueError:
+        return json.loads(line)
+    return value if line[end:] in ("", "\n") else json.loads(line)
+
+
 def _session_from_json(line: str, item_count: int) -> Session:
     """One session line; raises ValueError unless it is an object with a
     non-empty 'items' list of ids in 1..item_count, an integer 'start_ts'
     and a 'user' string or null."""
-    d = json.loads(line)
+    d = _parse_line(line)
     items = d.get("items") if isinstance(d, dict) else None
     if (
         not isinstance(items, list)

@@ -15,9 +15,14 @@ MODES says which of these terms each mode keeps. project, query and
 distance are numpy functions, the one definition of the scoring math:
 training's loss head (trainer.loss_head) scores a few candidates per
 instance through them, session_state builds evaluation's query points with
-them, and the evaluator re-scores near ties with them. Evaluation scores the
-whole catalog through catalog_scores, which expands the same distance into
-one matrix product against catalog_table.
+them, and the evaluator scores each target and re-scores near ties with
+them. Evaluation screens the whole catalog through catalog_scores, which
+expands the same distance into one matrix product against catalog_table in
+the table's dtype. The evaluator passes a float32 copy of the table, or the
+float64 table where float32 could overflow, and trusts the screen only
+outside a band around the target's exact score whose width bounds the
+expansion's rounding (derived in evaluator's docstring); entries inside it
+are settled by distance itself.
 """
 
 from __future__ import annotations
@@ -116,7 +121,8 @@ def session_state(
 
 def catalog_table(items: np.ndarray) -> np.ndarray:
     """The item table (N+1, d) with a ||x||^2 column and a ones column
-    appended: the catalog operand of catalog_scores, built once per ranking."""
+    appended, in float64: the catalog operand of catalog_scores, built once
+    per ranking (the evaluator screens against a float32 copy)."""
     sq = (items * items).sum(axis=1, keepdims=True)
     return np.hstack([items, sq, np.ones_like(sq)])
 
@@ -131,10 +137,11 @@ def stacked_rows(mode: str) -> int:
 def catalog_scores(
     q: np.ndarray, v: np.ndarray | None, table: np.ndarray, mode: str, masks=None
 ) -> np.ndarray:
-    """Distance (B, N+1) of every catalog row to every query row.
+    """Distance (B, N+1) of every catalog row to every query row, in the
+    dtype of table.
 
-    table is catalog_table(items), rows [x, ||x||^2, 1]. With unit normals v
-    the projected distance expands to
+    table is catalog_table(items), rows [x, ||x||^2, 1], or a copy of it in
+    another float dtype. With unit normals v the projected distance expands to
 
         ||q - x_perp||^2 = ||q||^2 + ||x||^2 + x.w - (x.v)^2,   w = 2((q.v)v - q)
 
@@ -143,22 +150,24 @@ def catalog_scores(
     lower; x.v is squared and subtracted in place, two elementwise passes in
     all. The unprojected modes take w = -2q and need only the upper half;
     dot_product scores -q.x_perp = x.((q.v)v - q), one product against X
-    alone. Row 0 of the item table is padding and scores +inf, as does every
-    id in masks[b] for query row b. The expansion rounds differently from
-    distance(), by far less than any gap it is trusted to order. The result
-    is a view of the product, so it keeps all stacked_rows(mode) * B of its
-    rows alive until it is released.
+    alone. The query rows are built in float64 and cast to table's dtype for
+    the product. Row 0 of the item table is padding and scores +inf, as does
+    every id in masks[b] for query row b. The expansion rounds differently
+    from distance(); evaluator's module docstring bounds by how much. The
+    result is a view of the product, so it keeps all stacked_rows(mode) * B
+    of its rows alive until it is released.
     """
     B, d = q.shape
     stacked = stacked_rows(mode) == 2
     if mode_terms(mode).dot:
-        scores = ((q * v).sum(axis=1, keepdims=True) * v - q) @ table[:, :d].T
+        lhs = (q * v).sum(axis=1, keepdims=True) * v - q
+        scores = lhs.astype(table.dtype, copy=False) @ table[:, :d].T
     else:
         lhs = np.hstack([-2.0 * q, np.ones((B, 1)), (q * q).sum(axis=1, keepdims=True)])
         if stacked:
             lhs[:, :d] += 2.0 * (q * v).sum(axis=1, keepdims=True) * v
             lhs = np.vstack([lhs, np.hstack([v, np.zeros((B, 2))])])
-        out = lhs @ table.T
+        out = lhs.astype(table.dtype, copy=False) @ table.T
         scores = out[:B]
         if stacked:
             vx = out[B:]

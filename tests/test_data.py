@@ -520,3 +520,21 @@ class TestManifest:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataError):
             read_split_manifest(str(tmp_path / "nope"))
+
+    @pytest.mark.parametrize(
+        "line",
+        ['{"a":[1]}\n', '{"a":[1]}', ' {"a":[1]}\n', '{"a":[1]} \n', '{"a":[1]}\xa0\n',
+         '\ufeff{"a":[1]}\n', '{"a":1}{"b":2}\n', '{"a":1},\n', '{"a":\n', '"x\ty"\n',
+         'NaN\n', '[1,2]\n', '{"a":1}\n\n', '1e400\n'],
+    )
+    def test_line_parse_matches_json_loads(self, line):
+        # the one-scan fast path must accept, reject and word errors as json.loads does
+        try:
+            want = json.loads(line)
+        except ValueError as exc:
+            with pytest.raises(type(exc)) as got:
+                D._parse_line(line)
+            assert str(got.value) == str(exc)
+        else:
+            got = D._parse_line(line)
+            assert type(got) is type(want) and repr(got) == repr(want)

@@ -1,9 +1,15 @@
 """Ranking metrics and the inference scoring path."""
 
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from proxyrec import evaluator
 from proxyrec.autodiff import Tensor
@@ -15,10 +21,18 @@ from proxyrec.evaluator import (
     evaluate,
     metrics_from_ranks,
 )
-from proxyrec.scoring import SCORING_MODES, catalog_scores, catalog_table, session_state
+from proxyrec.scoring import (
+    SCORING_MODES,
+    catalog_scores,
+    catalog_table,
+    distance,
+    project,
+    session_state,
+)
 from proxyrec.synth import planted_corpus
 from proxyrec.trainer import TrainConfig, init_model, make_leaves, objective
 from reference import rank_of_target, reference_ranks
+from reference import score_instance as reference_scores
 
 
 def score_instance(params, instance, tau, task, mode="full"):
@@ -155,8 +169,8 @@ class TestEvaluate:
             np.testing.assert_array_equal(compute_ranks(params, usable, "unseen", 1.0), whole)
 
     def test_ranking_holds_one_chunk_block_at_a_time(self, monkeypatch):
-        # 32 rows a chunk, 4 chunks; a block is 2 stacked rows of N+1 float64
-        # per instance in "full" mode, so CHUNK_ELEMENTS * 8 bytes
+        # 32 rows a chunk, 4 chunks; a block is 2 stacked rows of N+1 float32
+        # per instance in "full" mode, so CHUNK_ELEMENTS * 4 bytes
         n_items, rows = 2000, 32
         params = init_model(n_items, TrainConfig(embed_dim=4, proxy_count=3, max_len=8, seed=3))
         instances = build_instances(np.random.default_rng(3), 4 * rows, n_items)
@@ -169,7 +183,7 @@ class TestEvaluate:
         finally:
             tracemalloc.stop()
         table = catalog_table(params.items).nbytes
-        assert peak < table + 1.5 * evaluator.CHUNK_ELEMENTS * 8
+        assert peak < table + 1.5 * evaluator.CHUNK_ELEMENTS * 4
 
     def test_evaluate_report(self):
         params, instances = self._setup()
@@ -268,3 +282,148 @@ class TestBatchedRanking:
             evaluate(params, [inst], "unseen", tau=1.0)
         J, _ = objective([inst], make_leaves(params), 1.0, cfg, np.array([[4, 5]]))
         assert np.isfinite(J.data)
+
+
+class TestScreen:
+    """The float32 screen and the band around each target's exact score."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        split = chronological_split(
+            planted_corpus(n_users=10, n_items=300, sessions_per_user=30, seed=5)
+        )
+        tags = sorted({s.user_tag for s in split.train})[:4]
+        return split, tags
+
+    def _model(self, corpus, mode, task):
+        split, tags = corpus
+        cfg = TrainConfig(embed_dim=24, proxy_count=5, max_len=50, mode=mode, seed=4)
+        params = init_model(split.item_count, cfg, user_tags=tags)
+        params.user_bias[1:] = np.random.default_rng(9).normal(size=params.user_bias[1:].shape)
+        return params, expand_all(split.test, task, set(tags))
+
+    @staticmethod
+    def _screen_dtypes(monkeypatch):
+        """Record the dtype of every table compute_ranks screens against."""
+        seen = []
+
+        def spy(q, v, table, mode, masks=None):
+            seen.append(table.dtype)
+            return catalog_scores(q, v, table, mode, masks)
+
+        monkeypatch.setattr(evaluator, "catalog_scores", spy)
+        return seen
+
+    @pytest.mark.parametrize("task", ["unseen", "repeat"])
+    @pytest.mark.parametrize("mode", SCORING_MODES)
+    def test_near_copies_of_targets_rank_as_exact_scores_say(self, corpus, mode, task, monkeypatch):
+        # copies scaled by 1 + 1e-7 N(0,1): closer together than float32 can
+        # resolve, yet far outside a 1e-9 relative band
+        params, instances = self._model(corpus, mode, task)
+        rng = np.random.default_rng(1)
+        targets = np.unique([i.target for i in instances])
+        free = np.setdiff1d(np.arange(1, params.items.shape[0]), targets)
+        src = np.repeat(rng.choice(targets, size=min(40, targets.size), replace=False), 2)
+        dst = rng.choice(free, size=src.size, replace=False)
+        params.items[dst] = params.items[src] * (1 + 1e-7 * rng.standard_normal((src.size, 1)))
+        seen = self._screen_dtypes(monkeypatch)
+        got = compute_ranks(params, instances, task, 0.3, mode)
+        assert set(seen) == {np.dtype(np.float32)}
+        np.testing.assert_array_equal(got, reference_ranks(params, instances, task, 0.3, mode))
+        gaps = []
+        for inst in instances:
+            scores = reference_scores(params, inst, 0.3, task, mode)
+            for c in dst[src == inst.target]:
+                if np.isfinite(scores[c]):
+                    gaps.append(abs(scores[c] / scores[inst.target] - 1))
+        assert any(1e-9 < g < 2**-24 for g in gaps)
+
+    @pytest.mark.parametrize("task", ["unseen", "repeat"])
+    @pytest.mark.parametrize("mode", SCORING_MODES)
+    def test_exact_copies_at_the_catalog_end_rank_by_id(self, corpus, mode, task, monkeypatch):
+        params, instances = self._model(corpus, mode, task)
+        rng = np.random.default_rng(2)
+        targets = np.unique([i.target for i in instances])
+        free = np.setdiff1d(np.arange(1, params.items.shape[0]), targets)
+        src = rng.choice(targets, size=min(12, targets.size), replace=False)
+        params.items[free[-src.size :]] = params.items[src]
+        seen = self._screen_dtypes(monkeypatch)
+        got = compute_ranks(params, instances, task, 0.3, mode)
+        assert set(seen) == {np.dtype(np.float32)}
+        np.testing.assert_array_equal(got, reference_ranks(params, instances, task, 0.3, mode))
+
+    @pytest.mark.parametrize("task", ["unseen", "repeat"])
+    @pytest.mark.parametrize("mode", SCORING_MODES)
+    def test_rows_too_large_for_float32_screen_in_float64(self, corpus, mode, task, monkeypatch):
+        # ||x||^2 = 1e80 would overflow a float32 product; no prefix holds
+        # these rows, so the forward itself stays finite
+        params, instances = self._model(corpus, mode, task)
+        used = {i.target for i in instances} | {x for i in instances for x in i.prefix}
+        free = np.setdiff1d(np.arange(1, params.items.shape[0]), sorted(used))
+        params.items[free[:: max(1, free.size // 6)]] *= 1e40
+        seen = self._screen_dtypes(monkeypatch)
+        got = compute_ranks(params, instances, task, 0.3, mode)
+        assert set(seen) == {np.dtype(np.float64)}
+        np.testing.assert_array_equal(got, reference_ranks(params, instances, task, 0.3, mode))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        d=st.integers(1, 128),
+        q_exp=st.floats(-6, 6),
+        x_exp=st.floats(-6, 6),
+        seed=st.integers(0, 2**32 - 1),
+        mode=st.sampled_from(SCORING_MODES),
+    )
+    def test_screened_entries_lie_within_the_band(self, d, q_exp, x_exp, seed, mode):
+        rng = np.random.default_rng(seed)
+        q = rng.standard_normal((4, d)) * 10.0**q_exp
+        v = rng.standard_normal((4, d))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        items = rng.standard_normal((40, d)) * 10.0**x_exp
+        items *= 10.0 ** rng.uniform(-2, 0, size=(40, 1))  # rows of many sizes
+        items[1:6] = q[0] * (1 + 1e-3 * rng.standard_normal((5, d)))  # near the query
+        items[0] = 0.0
+        table = catalog_table(items)
+        x_max = float(table[:, -2].max())
+        exact = distance(q[:, None, :], project(items[None, 1:], v, mode), mode)
+        for dtype in (np.float32, np.float64):
+            screened = catalog_scores(q, v, table.astype(dtype), mode)[:, 1:]
+            band = evaluator.screen_band(q, x_max, dtype)
+            assert np.all(np.abs(screened.astype(np.float64) - exact) <= band[:, None])
+
+
+# compute_ranks on a d=64, 2,000-item random model in every mode; prints the ranks
+_RANKS = """
+import json
+import numpy as np
+from proxyrec.data import PredictionInstance
+from proxyrec.evaluator import compute_ranks
+from proxyrec.scoring import SCORING_MODES
+from proxyrec.trainer import TrainConfig, init_model
+params = init_model(2000, TrainConfig(embed_dim=64, proxy_count=20, max_len=8, seed=3))
+rng = np.random.default_rng(3)
+instances = []
+for _ in range(600):
+    session = tuple(int(x) for x in rng.integers(1, 2001, size=int(rng.integers(2, 7))))
+    instances.append(PredictionInstance(prefix=session[:-1], target=session[-1],
+                                        parent_items=session))
+print(json.dumps({m: compute_ranks(params, instances, "repeat", 0.5, m).tolist()
+                  for m in SCORING_MODES}))
+"""
+
+_USABLE_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+@pytest.mark.skipif((_USABLE_CORES or 1) < 2, reason="needs 2 usable cores")
+def test_blas_thread_count_does_not_change_the_ranks():
+    src = str(Path(evaluator.__file__).parents[1])
+    ranks = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", _RANKS], env=env, capture_output=True, text=True,
+            timeout=300, check=True,
+        )
+        ranks.append(json.loads(run.stdout))
+    for mode in SCORING_MODES:
+        np.testing.assert_array_equal(ranks[0][mode], ranks[1][mode])
