@@ -12,6 +12,12 @@ FilterConfig from its own flags, checks them the same way and records them in
 manifest.json. All output bytes are a pure function of inputs plus seed,
 except the wall-clock seconds, which go to their own timing files.
 
+Every file that train, ablate or evaluate writes lands in its output directory
+together, once the command has succeeded: until then the files sit in a
+staging directory inside it, so a failed run leaves the earlier run's files as
+they were. ablate so keeps its whole new grid on disk beside the old one until
+the end of the run.
+
 Process exit codes: 0 success, 1 usage or configuration, 2 data or artifact
 problems, 3 numeric failure during training.
 """
@@ -23,7 +29,9 @@ import contextlib
 import dataclasses
 import json
 import os
+import shutil
 import sys
+import tempfile
 
 from .data import (
     TASKS,
@@ -146,8 +154,7 @@ def write_resolved(cfg: TrainConfig, data: str, out_dir: str) -> None:
     data directory goes in as a comment, which --config skips."""
     lines = [f"# data = {data}"]
     lines += [f"{key} = {value}" for key, value in sorted(dataclasses.asdict(cfg).items())]
-    with open(os.path.join(out_dir, RESOLVED_FILE), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write(out_dir, RESOLVED_FILE, "\n".join(lines))
 
 
 def _override_pairs(args) -> list[tuple[str, str, str]]:
@@ -176,43 +183,50 @@ def _parse_int_list(text: str, what: str, n: int | None = None) -> tuple[int, ..
 
 
 @contextlib.contextmanager
-def _staged(out_dir: str, *names: str):
-    """Text files opened for writing under temporary names and renamed onto
-    names in out_dir only when the with-block succeeds; when it raises they
-    are removed, so an earlier run's files keep their bytes."""
-    paths = [os.path.join(out_dir, name) for name in names]
-    temps = [f"{path}.{os.getpid()}.tmp" for path in paths]
+def _staged(out_dir: str):
+    """A fresh directory inside out_dir for a command's files. They are renamed
+    onto their names in out_dir only when the with-block succeeds; when it
+    raises the directory is removed, so an earlier run's files keep their bytes."""
+    os.makedirs(out_dir, exist_ok=True)
+    stage = tempfile.mkdtemp(suffix=".tmp", dir=out_dir)
     try:
-        with contextlib.ExitStack() as stack:
-            yield [stack.enter_context(open(temp, "w", encoding="utf-8")) for temp in temps]
-        for temp, path in zip(temps, paths):
-            os.replace(temp, path)
-    except BaseException:
-        for temp in temps:
-            with contextlib.suppress(OSError):
-                os.unlink(temp)
-        raise
+        yield stage
+        for name in sorted(os.listdir(stage)):
+            os.replace(os.path.join(stage, name), os.path.join(out_dir, name))
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
 
 
-@contextlib.contextmanager
-def _epoch_logs(out_dir: str, log_name: str, timing_name: str, echo: bool):
-    """A fit log_fn writing each epoch's stats to log_name and its seconds to
-    timing_name, so the stats file is the same bytes on every rerun. Both are
-    _staged in out_dir."""
-    with _staged(out_dir, log_name, timing_name) as (log, timing):
+def _write(directory: str, name: str, body) -> None:
+    """One text file, a line break after body; a body that is not a str goes
+    in as indented JSON with sorted keys."""
+    if not isinstance(body, str):
+        body = json.dumps(body, sort_keys=True, indent=2)
+    with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
+        fh.write(body + "\n")
+
+
+def _fit_into(stage: str, names: tuple[str, str, str], split, cfg: TrainConfig,
+              known: list[str], echo: bool):
+    """Fit cfg and write its checkpoint, epoch log and epoch timings into stage
+    under names. The log holds each epoch's stats and the timing file its
+    seconds, so the log is the same bytes on every rerun."""
+    ckpt, log_path, timing_path = (os.path.join(stage, name) for name in names)
+    with open(log_path, "w", encoding="utf-8") as log, \
+            open(timing_path, "w", encoding="utf-8") as timing:
 
         def log_line(stats: dict, seconds: float) -> None:
             log.write(json.dumps(stats, sort_keys=True) + "\n")
-            log.flush()
             timing.write(json.dumps({"epoch": stats["epoch"], "seconds": seconds}) + "\n")
-            timing.flush()
             if echo:
                 print(
                     f"epoch {stats['epoch']:>3}  loss {stats['loss']:.4f}  "
                     f"val R@20 {stats['val_recall20']:.4f}  ({seconds:.1f}s)"
                 )
 
-        yield log_line
+        result = fit(split, cfg, known, log_fn=log_line)
+    save_checkpoint(ckpt, result.params, result.adam, result.epoch, result.tau, cfg)
+    return result
 
 
 def cmd_prepare(args) -> int:
@@ -255,38 +269,29 @@ def cmd_prepare(args) -> int:
 
 def cmd_train(args) -> int:
     """Fit on a prepared split, keep the best checkpoint plus an epoch log."""
-    split, _ = read_split_manifest(args.data)
     cfg = resolve_config(args.config, _override_pairs(args))
+    split, _ = read_split_manifest(args.data)
     known = pick_known_users(split, cfg)
 
-    os.makedirs(args.out_dir, exist_ok=True)
-    ckpt_path = os.path.join(args.out_dir, CHECKPOINT_FILE)
-    # the logs replace an earlier run's only once the checkpoint is written
-    with _epoch_logs(args.out_dir, TRAIN_LOG_FILE, TRAIN_TIMING_FILE, echo=True) as log_line:
-        result = fit(split, cfg, known, log_fn=log_line)
-        save_checkpoint(ckpt_path, result.params, result.adam, result.epoch, result.tau, cfg)
-    with open(os.path.join(args.out_dir, KNOWN_USERS_FILE), "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "ratio": cfg.known_user_ratio,
-                "min_sessions_per_user": cfg.min_sessions_per_user,
-                "users": known,
-            },
-            fh,
-            sort_keys=True,
-            indent=2,
-        )
-        fh.write("\n")
-    write_resolved(cfg, args.data, args.out_dir)
+    with _staged(args.out_dir) as stage:
+        names = (CHECKPOINT_FILE, TRAIN_LOG_FILE, TRAIN_TIMING_FILE)
+        result = _fit_into(stage, names, split, cfg, known, echo=True)
+        _write(stage, KNOWN_USERS_FILE, {
+            "ratio": cfg.known_user_ratio,
+            "min_sessions_per_user": cfg.min_sessions_per_user,
+            "users": known,
+        })
+        write_resolved(cfg, args.data, stage)
     print(
         f"best epoch {result.epoch}  val R@20 {result.val_recall20:.4f}  "
-        f"checkpoint {ckpt_path}"
+        f"checkpoint {os.path.join(args.out_dir, CHECKPOINT_FILE)}"
     )
     return 0
 
 
 def cmd_evaluate(args) -> int:
     """Score a checkpoint against a prepared split and emit a report."""
+    ks = _parse_int_list(args.ks, "--ks")
     _keep_freed_heap()  # each ranking chunk then reuses the memory the last one freed
     params, _, meta = load_checkpoint(args.checkpoint)
     split, _ = read_split_manifest(args.data)
@@ -297,14 +302,12 @@ def cmd_evaluate(args) -> int:
         )
     ckpt_cfg = meta["config"]
     task = args.task or ckpt_cfg["task"]
-    ks = _parse_int_list(args.ks, "--ks")
     sessions = split.valid if args.split == "valid" else split.test
     known = set(meta["user_tags"])
     instances = expand_all(sessions, task, known)
     report = evaluate(params, instances, task, ks, meta["tau"], mode=ckpt_cfg["mode"])
 
     out_dir = args.out_dir or os.path.dirname(args.checkpoint) or "."
-    os.makedirs(out_dir, exist_ok=True)
     stem = f"report_{args.split}_{task}"
     payload = {
         "config": {
@@ -318,10 +321,9 @@ def cmd_evaluate(args) -> int:
         },
         **report.as_dict(),
     }
-    with _staged(out_dir, stem + ".json", stem + ".txt") as (js, txt):
-        json.dump(payload, js, sort_keys=True, indent=2)
-        js.write("\n")
-        txt.write(report.as_text() + "\n")
+    with _staged(out_dir) as stage:
+        _write(stage, stem + ".json", payload)
+        _write(stage, stem + ".txt", report.as_text())
     print(report.as_text())
     return 0
 
@@ -353,58 +355,46 @@ def cmd_ablate(args) -> int:
     split, _ = read_split_manifest(args.data)
     known = pick_known_users(split, base)
 
-    os.makedirs(args.out_dir, exist_ok=True)
-    rows = []
-    for name, cfg in ablation_variants(base).items():
-        print(f"[{name}]")
-        logs = (f"{name}.log.jsonl", f"{name}.timing.jsonl")
-        with _epoch_logs(args.out_dir, *logs, echo=False) as log_line:
-            result = fit(split, cfg, known, log_fn=log_line)
-            save_checkpoint(
-                os.path.join(args.out_dir, f"{name}.ckpt"),
-                result.params,
-                result.adam,
-                result.epoch,
-                result.tau,
-                cfg,
+    with _staged(args.out_dir) as stage:
+        rows = []
+        for name, cfg in ablation_variants(base).items():
+            print(f"[{name}]")
+            names = (f"{name}.ckpt", f"{name}.log.jsonl", f"{name}.timing.jsonl")
+            result = _fit_into(stage, names, split, cfg, known, echo=False)
+            instances = expand_all(split.test, cfg.task, set(known))
+            report = evaluate(
+                params=result.params,
+                instances=instances,
+                task=cfg.task,
+                ks=(20,),
+                tau=result.tau,
+                mode=cfg.mode,
             )
-        instances = expand_all(split.test, cfg.task, set(known))
-        report = evaluate(
-            params=result.params,
-            instances=instances,
-            task=cfg.task,
-            ks=(20,),
-            tau=result.tau,
-            mode=cfg.mode,
-        )
-        rows.append(
-            {
-                "variant": name,
-                "best_epoch": result.epoch,
-                "val_recall20": result.val_recall20,
-                "test_recall20": report.recall[20],
-                "test_mrr20": report.mrr[20],
-            }
-        )
-        print(
-            f"  val R@20 {result.val_recall20:.4f}  "
-            f"test R@20 {report.recall[20]:.4f}  MRR@20 {report.mrr[20]:.4f}"
-        )
+            rows.append(
+                {
+                    "variant": name,
+                    "best_epoch": result.epoch,
+                    "val_recall20": result.val_recall20,
+                    "test_recall20": report.recall[20],
+                    "test_mrr20": report.mrr[20],
+                }
+            )
+            print(
+                f"  val R@20 {result.val_recall20:.4f}  "
+                f"test R@20 {report.recall[20]:.4f}  MRR@20 {report.mrr[20]:.4f}"
+            )
 
-    header = f"{'variant':<15}{'val R@20':>10}{'test R@20':>11}{'test MRR@20':>13}"
-    lines = [header]
-    for row in rows:
-        lines.append(
-            f"{row['variant']:<15}{row['val_recall20']:>10.4f}"
-            f"{row['test_recall20']:>11.4f}{row['test_mrr20']:>13.4f}"
-        )
-    grid = "\n".join(lines)
-    with open(os.path.join(args.out_dir, ABLATION_GRID_FILE), "w", encoding="utf-8") as fh:
-        fh.write(grid + "\n")
-    with open(os.path.join(args.out_dir, ABLATION_FILE), "w", encoding="utf-8") as fh:
-        json.dump(rows, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    write_resolved(base, args.data, args.out_dir)
+        header = f"{'variant':<15}{'val R@20':>10}{'test R@20':>11}{'test MRR@20':>13}"
+        lines = [header]
+        for row in rows:
+            lines.append(
+                f"{row['variant']:<15}{row['val_recall20']:>10.4f}"
+                f"{row['test_recall20']:>11.4f}{row['test_mrr20']:>13.4f}"
+            )
+        grid = "\n".join(lines)
+        _write(stage, ABLATION_GRID_FILE, grid)
+        _write(stage, ABLATION_FILE, rows)
+        write_resolved(base, args.data, stage)
     print(grid)
     return 0
 

@@ -704,7 +704,9 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str) -> tuple[ModelParams, AdamState, dict]:
-    """Read a checkpoint back; raises CheckpointError on any corruption."""
+    """Read a checkpoint back; raises CheckpointError on any corruption, and on
+    a non-finite tensor or an item or proxy row outside the unit ball: training
+    never writes those, and ranking's screen band grows with the row norms."""
     crc = 0  # CRC-32 of the bytes read since the last checksum
 
     def take(fh, n, what):
@@ -768,6 +770,13 @@ def load_checkpoint(path: str) -> tuple[ModelParams, AdamState, dict]:
     wrong = sorted(k for k, shape in expected.items() if tensors[k].shape != shape)
     if wrong:
         raise CheckpointError(f"{path}: tensors {wrong} do not match the shapes in the metadata")
+    broken = sorted(k for k in expected if not np.isfinite(tensors[k]).all())
+    if broken:
+        raise CheckpointError(f"{path}: tensors {broken} hold non-finite values")
+    with np.errstate(over="ignore"):  # a huge row's squared norm may overflow to inf
+        outside = [k for k in ("items", "proxies") if (row_norms(tensors[k]) > 1 + 1e-9).any()]
+    if outside:
+        raise CheckpointError(f"{path}: tensors {outside} have rows outside the unit ball")
     params = ModelParams({k: tensors[k] for k in shapes}, meta["user_tags"])
     adam = AdamState(
         m={k: tensors[f"adam.m.{k}"] for k in shapes},

@@ -7,15 +7,16 @@ import os
 import struct
 import zlib
 
+import numpy as np
 import pytest
 
 from proxyrec import cli as cli_module
 from proxyrec import data as data_module
 from proxyrec.cli import ablation_variants, main, read_config_file, resolve_config
 from proxyrec.data import read_split_manifest
-from proxyrec.errors import ConfigError, DataError
+from proxyrec.errors import ConfigError, DataError, NumericError
 from proxyrec.synth import planted_corpus
-from proxyrec.trainer import TrainConfig, load_checkpoint
+from proxyrec.trainer import TrainConfig, load_checkpoint, save_checkpoint
 
 
 def write_log(path, corpus):
@@ -534,6 +535,39 @@ def test_train_reruns_bit_identical_and_resolved_config_replays(prepared, capsys
     assert (out3 / "model.ckpt").read_bytes() == blob
 
 
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_a_bad_config_is_reported_before_the_data_is_read(tmp_path, capsys, command):
+    rc = main([command, "--data", str(tmp_path / "nodata"), "--out-dir", str(tmp_path / "run"),
+               "--set", "epochs=0"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "epochs must be >= 1" in err and "nodata" not in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_failed_train_keeps_every_file_of_the_earlier_run(prepared, capsys, monkeypatch):
+    # a rerun with another margin fails on the last of its five files: all
+    # five land together, so the first run's set keeps its bytes
+    tmp_path, data, cfg = prepared
+    out = tmp_path / "run"
+    args = ["train", "--data", str(data), "--out-dir", str(out), "--config", str(cfg)]
+    assert main(args) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert sorted(before) == ["config.resolved", "known_users.json", "model.ckpt",
+                              "train_log.jsonl", "train_timing.jsonl"]
+
+    def failing_write_resolved(*_):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli_module, "write_resolved", failing_write_resolved)
+    capsys.readouterr()
+    assert main(args + ["--set", "margin=0.3"]) == 2
+    err = capsys.readouterr().err
+    assert "No space left on device" in err and "Traceback" not in err
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+    assert not list(out.glob("*.tmp"))
+
+
 # -- evaluate --------------------------------------------------------------------
 
 
@@ -659,6 +693,34 @@ def test_evaluate_checkpoint_with_bad_meta_is_exit_2(trained, capsys):
     load_checkpoint(str(path))
 
 
+def test_evaluate_bad_ks_is_reported_before_the_checkpoint_is_read(tmp_path, capsys):
+    rc = main(["evaluate", "--checkpoint", str(tmp_path / "nope.ckpt"),
+               "--data", str(tmp_path / "nodata"), "--ks", "5,x"])
+    assert rc == 1
+    assert "--ks must be comma-separated integers, got '5,x'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", ["item-row-scaled", "nan-weight"])
+def test_evaluate_checkpoint_with_out_of_range_tensors_is_exit_2(trained, capsys, damage):
+    # written through save_checkpoint, so every checksum matches the damage
+    tmp_path, data, ckpt = trained
+    params, adam, meta = load_checkpoint(str(ckpt))
+    if damage == "item-row-scaled":
+        params.items[3] *= 1e40
+        problem = "tensors ['items'] have rows outside the unit ball"
+    else:
+        params.named()["enc_w1"][1, 2] = np.nan
+        problem = "tensors ['enc_w1'] hold non-finite values"
+    path = tmp_path / "damaged.ckpt"
+    save_checkpoint(str(path), params, adam, meta["epoch"], meta["tau"],
+                    TrainConfig(**meta["config"]))
+    assert main(["evaluate", "--checkpoint", str(path), "--data", str(data),
+                 "--out-dir", str(tmp_path / "reports")]) == 2
+    err = capsys.readouterr().err
+    assert problem in err and "Traceback" not in err
+    assert not (tmp_path / "reports").exists()
+
+
 # -- ablate ----------------------------------------------------------------------
 
 
@@ -707,3 +769,41 @@ def test_ablate_refuses_a_mode_other_than_full_before_training(prepared, capsys,
     assert "mode = 'dot_product'" in captured.err
     assert captured.out == ""
     assert not grid.exists()
+
+
+def test_ablate_reruns_bit_identical_and_a_failed_rerun_keeps_the_grid(
+    prepared, capsys, monkeypatch
+):
+    tmp_path, data, cfg = prepared
+    grid = tmp_path / "grid"
+    args = ["ablate", "--data", str(data), "--out-dir", str(grid), "--config", str(cfg)]
+
+    def files():
+        return {path.name: path.read_bytes() for path in grid.iterdir()}
+
+    def untimed(found):
+        return {name: blob for name, blob in found.items() if not name.endswith("timing.jsonl")}
+
+    assert main(args) == 0
+    first = files()
+    assert len(first) == 7 * 3 + 3
+    assert main(args) == 0
+    assert untimed(files()) == untimed(first)
+    first = files()
+
+    # another margin changes every file; the third variant's fit then fails
+    fit, calls = cli_module.fit, []
+
+    def third_fit_fails(*fit_args, **fit_kwargs):
+        calls.append(fit_args[1].mode)
+        if len(calls) == 3:
+            raise NumericError("loss is nan")
+        return fit(*fit_args, **fit_kwargs)
+
+    monkeypatch.setattr(cli_module, "fit", third_fit_fails)
+    capsys.readouterr()
+    assert main(args + ["--set", "margin=0.3"]) == 3
+    err = capsys.readouterr().err
+    assert "loss is nan" in err and "Traceback" not in err
+    assert calls == ["full", "proxy_only", "short_only"]
+    assert files() == first
