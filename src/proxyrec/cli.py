@@ -12,11 +12,12 @@ FilterConfig from its own flags, checks them the same way and records them in
 manifest.json. All output bytes are a pure function of inputs plus seed,
 except the wall-clock seconds, which go to their own timing files.
 
-Every file that train, ablate or evaluate writes lands in its output directory
-together, once the command has succeeded: until then the files sit in a
-staging directory inside it, so a failed run leaves the earlier run's files as
-they were. ablate so keeps its whole new grid on disk beside the old one until
-the end of the run.
+Every file that prepare, train, ablate or evaluate writes lands in its output
+directory together, once the command has succeeded: until then the files sit
+in a staging directory inside it, so a failed run leaves the earlier run's
+files as they were. ablate so keeps its whole new grid on disk beside the old
+one until the end of the run. prepare moves its manifest in last, after
+removing the old one, so no manifest vouches for split files of two runs.
 
 Process exit codes: 0 success, 1 usage or configuration, 2 data or artifact
 problems, 3 numeric failure during training.
@@ -34,6 +35,7 @@ import sys
 import tempfile
 
 from .data import (
+    MANIFEST_FILE,
     TASKS,
     FilterConfig,
     apply_filters,
@@ -183,15 +185,22 @@ def _parse_int_list(text: str, what: str, n: int | None = None) -> tuple[int, ..
 
 
 @contextlib.contextmanager
-def _staged(out_dir: str):
+def _staged(out_dir: str, last: str | None = None):
     """A fresh directory inside out_dir for a command's files. They are renamed
     onto their names in out_dir only when the with-block succeeds; when it
-    raises the directory is removed, so an earlier run's files keep their bytes."""
+    raises the directory is removed, so an earlier run's files keep their bytes.
+    The file named last, which vouches for the others, is removed from out_dir
+    before the first rename and renamed after all the others, so it never
+    pairs with a half-renamed set."""
     os.makedirs(out_dir, exist_ok=True)
     stage = tempfile.mkdtemp(suffix=".tmp", dir=out_dir)
     try:
         yield stage
-        for name in sorted(os.listdir(stage)):
+        names = sorted(os.listdir(stage), key=lambda name: (name == last, name))
+        if last is not None:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(out_dir, last))
+        for name in names:
             os.replace(os.path.join(stage, name), os.path.join(out_dir, name))
     finally:
         shutil.rmtree(stage, ignore_errors=True)
@@ -261,7 +270,8 @@ def cmd_prepare(args) -> int:
     sessions = apply_filters(sessions, fcfg)
     split = chronological_split(sessions, ratios, min_session_len=fcfg.min_session_len)
 
-    write_split_manifest(split, args.out_dir, raw_item_map, fcfg, ratios)
+    with _staged(args.out_dir, last=MANIFEST_FILE) as stage:
+        write_split_manifest(split, stage, raw_item_map, fcfg, ratios)
     print(format_stats(split_stats(split)), end="")
     print(f"manifest written to {args.out_dir}")
     return 0

@@ -7,17 +7,37 @@ session start time, and finally expanded into (prefix, target) prediction
 instances. Everything downstream of the split sees a compact item index with
 no holes, so the split step re-maps identifiers to the train vocabulary and
 reports the composed mapping for persistence.
+
+The record types InteractionRecord, Session and PredictionInstance are named
+tuples: immutable, equal and hashed field by field, and built by position or
+keyword with defaults. A log makes one record per row and a split one
+instance per target, so this module builds them in bulk with tuple.__new__,
+which skips the generated __new__ and its Python frame. len(session) counts
+its items, so Session has no working _make or _replace.
+
+The functions that build these objects in bulk (load_interactions,
+build_sessions, apply_filters, chronological_split, read_split_manifest and
+expand_all) pause the cyclic garbage collector while they run. What they
+build holds only ints, strings, tuples and None and can form no cycle, yet
+every few hundred new tuples would start a collection that walks them all
+again. Each restores the caller's collector state, also when it raises.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import gc
 import gzip
 import json
+import math
 import os
 import zlib
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain, compress, filterfalse, repeat
+from operator import floordiv, itemgetter, ne
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,16 +56,14 @@ TASKS = ("repeat", "unseen")
 _COLUMN_NAMES = {"user", "session", "item", "time", "-"}
 
 
-@dataclass(frozen=True)
-class InteractionRecord:
+class InteractionRecord(NamedTuple):
     item_id: int
     timestamp: int
     user_tag: str | None = None
     session_tag: str | None = None
 
 
-@dataclass(frozen=True)
-class Session:
+class Session(NamedTuple):
     items: tuple[int, ...]
     start_ts: int
     user_tag: str | None = None
@@ -80,13 +98,31 @@ class SessionSplit:
         return self.train + self.valid + self.test
 
 
-@dataclass(frozen=True)
-class PredictionInstance:
+class PredictionInstance(NamedTuple):
     prefix: tuple[int, ...]
     target: int
     parent_items: tuple[int, ...]
     user_tag: str | None = None
     known_user: bool = False
+
+
+_new = tuple.__new__  # _new(Session, (items, start_ts, user_tag)): a record, no __new__ call
+_ITEMS = itemgetter(0)  # Session.items, InteractionRecord.item_id
+_TIME = itemgetter(1)  # Session.start_ts, InteractionRecord.timestamp
+_SESSION_TAG = itemgetter(3)  # InteractionRecord.session_tag
+
+
+@contextlib.contextmanager
+def _collector_paused():
+    """Disable the cyclic garbage collector for the block; its earlier
+    state comes back however the block ends."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # -- loading ------------------------------------------------------------------
@@ -105,6 +141,16 @@ def _parse_columns(columns: str) -> list[str]:
     return cols
 
 
+def _floored(text: str, where: str) -> int:
+    """A timestamp that is no integer string, floored; ParseError when it
+    is no number, nan or an infinity."""
+    try:
+        return math.floor(float(text))
+    except (ValueError, OverflowError):  # OverflowError: inf
+        raise ParseError(f"{where}: bad timestamp {text!r}")
+
+
+@_collector_paused()
 def load_interactions(
     path: str,
     columns: str = "user,item,time",
@@ -118,48 +164,52 @@ def load_interactions(
     opaque strings remapped to dense integers 1..N in order of first
     appearance; the returned mapping must be persisted so later stages and
     checkpoints agree on what each index means. Gzip input is detected by
-    a .gz suffix. Timestamps are integer seconds (numeric values are
-    floored). A malformed row raises ParseError naming its line number.
+    a .gz suffix. Timestamps are integer seconds: an integer is read
+    exactly and any other number is floored. A malformed row raises
+    ParseError naming its line number.
     """
     cols = _parse_columns(columns)
     if delimiter is None:
         base = path[:-3] if path.endswith(".gz") else path
         delimiter = "," if base.endswith(".csv") else "\t"
     opener = gzip.open if path.endswith(".gz") else open
+    n_cols, item_at, time_at = len(cols), cols.index("item"), cols.index("time")
+    user_at = cols.index("user") if "user" in cols else None
+    session_at = cols.index("session") if "session" in cols else None
     records: list[InteractionRecord] = []
+    append = records.append
     item_map: dict[str, int] = {}
+    user_tag = session_tag = None
     try:
         with opener(path, "rt", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if skip_header and lineno == 1:
-                    continue
-                line = line.rstrip("\n").rstrip("\r")
+            lines = enumerate(fh, start=1)
+            if skip_header:
+                next(lines, None)
+            for lineno, line in lines:
+                line = line.rstrip("\n")  # text mode reads "\r\n" and "\r" as "\n"
                 if not line:
                     continue
                 parts = line.split(delimiter)
-                if len(parts) != len(cols):
+                if len(parts) != n_cols:
                     raise ParseError(
-                        f"{path}: line {lineno}: expected {len(cols)} fields, got {len(parts)}"
+                        f"{path}: line {lineno}: expected {n_cols} fields, got {len(parts)}"
                     )
-                row = dict(zip(cols, parts))
-                raw_item, session_tag = row["item"], row.get("session")
-                if not raw_item or session_tag == "":  # None: no session column
+                raw_item = parts[item_at]
+                if session_at is not None:
+                    session_tag = parts[session_at]
+                if not raw_item or session_tag == "":
                     field = "session" if raw_item else "item"
                     raise ParseError(f"{path}: line {lineno}: empty {field} field")
                 try:
-                    ts = int(float(row["time"]))
-                except (ValueError, OverflowError):  # OverflowError: inf
-                    raise ParseError(f"{path}: line {lineno}: bad timestamp {row['time']!r}")
-                if raw_item not in item_map:
-                    item_map[raw_item] = len(item_map) + 1
-                records.append(
-                    InteractionRecord(
-                        item_id=item_map[raw_item],
-                        timestamp=ts,
-                        user_tag=row.get("user") or None,
-                        session_tag=session_tag,
-                    )
-                )
+                    ts = int(parts[time_at])
+                except ValueError:
+                    ts = _floored(parts[time_at], f"{path}: line {lineno}")
+                item_id = item_map.get(raw_item)
+                if item_id is None:
+                    item_id = item_map[raw_item] = len(item_map) + 1
+                if user_at is not None:
+                    user_tag = parts[user_at] or None
+                append(_new(InteractionRecord, (item_id, ts, user_tag, session_tag)))
     except (UnicodeDecodeError, EOFError, zlib.error) as exc:  # EOFError: truncated gzip
         raise ParseError(f"{path}: unreadable: {exc}")
     if not records:
@@ -170,6 +220,7 @@ def load_interactions(
 # -- session building ---------------------------------------------------------
 
 
+@_collector_paused()
 def build_sessions(
     records: list[InteractionRecord],
     cfg: FilterConfig,
@@ -184,40 +235,39 @@ def build_sessions(
     """
     if not records:
         raise EmptyInputError("no interaction records")
-    pregrouped = any(r.session_tag is not None for r in records)
+    pregrouped = set(map(_SESSION_TAG, records)) != {None}
+    key_at = 3 if pregrouped else 2  # session_tag or user_tag
     groups: dict[object, list[InteractionRecord]] = {}
     for r in records:
-        key = r.session_tag if pregrouped else r.user_tag
-        groups.setdefault(key, []).append(r)
-
-    sessions: list[Session] = []
-    for key, rows in groups.items():
-        rows = sorted(rows, key=lambda r: r.timestamp)
-        if pregrouped or not cfg.split_by_day:
-            chunks = [rows]
+        key = r[key_at]
+        if key in groups:
+            groups[key].append(r)
         else:
-            chunks = []
-            for r in rows:
-                if chunks and r.timestamp // SECONDS_PER_DAY == chunks[-1][-1].timestamp // SECONDS_PER_DAY:
-                    chunks[-1].append(r)
-                else:
-                    chunks.append([r])
+            groups[key] = [r]
+
+    by_day = cfg.split_by_day and not pregrouped
+    cap = cfg.max_session_len
+    sessions: list[Session] = []
+    for rows in groups.values():
+        rows.sort(key=_TIME)
+        if by_day:
+            days = list(map(floordiv, map(_TIME, rows), repeat(SECONDS_PER_DAY)))
+            cuts = list(compress(range(1, len(days)), map(ne, days, days[1:])))  # day changes
+            chunks = [rows[a:b] for a, b in zip([0] + cuts, cuts + [len(rows)])]
+        else:
+            chunks = [rows]
         for chunk in chunks:
-            if cfg.max_session_len > 0 and len(chunk) > cfg.max_session_len:
+            if 0 < cap < len(chunk):
                 if cfg.drop_over_length:
                     continue
-                chunk = chunk[-cfg.max_session_len:]
-            tag = None if anonymize else chunk[0].user_tag
-            sessions.append(
-                Session(
-                    items=tuple(r.item_id for r in chunk),
-                    start_ts=chunk[0].timestamp,
-                    user_tag=tag,
-                )
-            )
+                chunk = chunk[-cap:]
+            first = chunk[0]
+            tag = None if anonymize else first.user_tag
+            sessions.append(_new(Session, (tuple(map(_ITEMS, chunk)), first.timestamp, tag)))
     return sessions
 
 
+@_collector_paused()
 def apply_filters(sessions: list[Session], cfg: FilterConfig) -> list[Session]:
     """Drop rare items and short sessions until both conditions hold at once.
 
@@ -227,18 +277,21 @@ def apply_filters(sessions: list[Session], cfg: FilterConfig) -> list[Session]:
     """
     current = list(sessions)
     while True:
-        counts = Counter(i for s in current for i in s.items)
+        counts = Counter(chain.from_iterable(map(_ITEMS, current)))
         bad_items = {i for i, c in counts.items() if c < cfg.min_item_count}
         changed = False
         next_sessions: list[Session] = []
         for s in current:
-            items = tuple(i for i in s.items if i not in bad_items)
-            if len(items) != len(s.items):
+            items = s.items
+            if bad_items and not bad_items.isdisjoint(items):
+                items = tuple(filterfalse(bad_items.__contains__, items))
                 changed = True
             if len(items) < cfg.min_session_len:
                 changed = True
                 continue
-            next_sessions.append(s if items == s.items else Session(items, s.start_ts, s.user_tag))
+            next_sessions.append(
+                s if items is s.items else _new(Session, (items, s.start_ts, s.user_tag))
+            )
         current = next_sessions
         if not current:
             raise EmptyInputError("all sessions removed by filtering")
@@ -246,6 +299,7 @@ def apply_filters(sessions: list[Session], cfg: FilterConfig) -> list[Session]:
             return current
 
 
+@_collector_paused()
 def chronological_split(
     sessions: list[Session],
     ratios: tuple[int, int, int] = (8, 1, 1),
@@ -268,7 +322,7 @@ def chronological_split(
         raise SplitError(f"bad split ratios {ratios}")
     if min_session_len < 1:
         raise SplitError(f"min_session_len must be >= 1, got {min_session_len}")
-    ordered = sorted(sessions, key=lambda s: s.start_ts)
+    ordered = sorted(sessions, key=_TIME)
     n_train = n * ratios[0] // total
     n_valid = n * ratios[1] // total
     train = ordered[:n_train]
@@ -277,18 +331,17 @@ def chronological_split(
     if not train:
         raise SplitError("empty train portion")
 
-    vocab = {i for s in train for i in s.items}
-    id_map = {old: new for new, old in enumerate(sorted(vocab), start=1)}
+    vocab = sorted(set(chain.from_iterable(map(_ITEMS, train))))
+    id_map = dict(zip(vocab, range(1, len(vocab) + 1)))
+    new_id, known = id_map.__getitem__, id_map.__contains__
 
     def remap(part: list[Session], prune: bool) -> list[Session]:
         out = []
         for s in part:
-            items = tuple(id_map[i] for i in s.items if i in vocab) if prune else tuple(
-                id_map[i] for i in s.items
-            )
+            items = tuple(map(new_id, filter(known, s.items) if prune else s.items))
             if prune and len(items) < min_session_len:
                 continue
-            out.append(Session(items, s.start_ts, s.user_tag))
+            out.append(_new(Session, (items, s.start_ts, s.user_tag)))
         return out
 
     return SessionSplit(
@@ -316,28 +369,20 @@ def expand_instances(
     """
     if task not in TASKS:
         raise DataError(f"unknown task {task!r}; expected one of {TASKS}")
-    if len(session.items) < 2:
-        raise DataError(f"cannot expand a session of length {len(session.items)}")
-    known = bool(known_users and session.user_tag in known_users)
-    out = []
     items = session.items
-    for t in range(2, len(items) + 1):
-        prefix = items[: t - 1]
-        target = items[t - 1]
-        if task == "unseen" and target in prefix:
-            continue
-        out.append(
-            PredictionInstance(
-                prefix=prefix,
-                target=target,
-                parent_items=items,
-                user_tag=session.user_tag,
-                known_user=known,
-            )
-        )
-    return out
+    if len(items) < 2:
+        raise DataError(f"cannot expand a session of length {len(items)}")
+    user = session.user_tag
+    known = bool(known_users and user in known_users)
+    if task == "repeat":
+        return [_new(PredictionInstance, (items[:t], items[t], items, user, known))
+                for t in range(1, len(items))]
+    return [_new(PredictionInstance, (prefix, target, items, user, known))
+            for t in range(1, len(items))
+            if (target := items[t]) not in (prefix := items[:t])]
 
 
+@_collector_paused()
 def expand_all(
     sessions: list[Session],
     task: str,
@@ -435,7 +480,7 @@ MANIFEST_FILE = "manifest.json"
 
 def split_stats(split: SessionSplit) -> dict:
     sessions = split.all_sessions()
-    interactions = sum(len(s) for s in sessions)
+    interactions = sum(map(len, map(_ITEMS, sessions)))
     return {
         "interactions": interactions,
         "items": split.item_count,
@@ -454,12 +499,19 @@ def format_stats(stats: dict) -> str:
     )
 
 
-def _session_to_json(s: Session) -> str:
-    return json.dumps(
-        {"items": list(s.items), "start_ts": s.start_ts, "user": s.user_tag},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+def _session_lines(sessions: list[Session]) -> str:
+    """One line per session, each the bytes of json.dumps({"items": ...,
+    "start_ts": ..., "user": ...}, sort_keys=True, separators=(",", ":"))
+    and a newline; each user tag is encoded once."""
+    users: dict[str | None, str] = {}
+    lines = []
+    for items, start_ts, user_tag in sessions:
+        user = users.get(user_tag)
+        if user is None:
+            user = users[user_tag] = json.dumps(user_tag)
+        items = ",".join(map(str, items))
+        lines.append(f'{{"items":[{items}],"start_ts":{start_ts},"user":{user}}}\n')
+    return "".join(lines)
 
 
 _DECODER = json.JSONDecoder()  # the decoder json.loads uses when given no options
@@ -476,25 +528,60 @@ def _parse_line(line: str):
     return value if line[end:] in ("", "\n") else json.loads(line)
 
 
-def _session_from_json(line: str, item_count: int) -> Session:
-    """One session line; raises ValueError unless it is an object with a
-    non-empty 'items' list of ids in 1..item_count, an integer 'start_ts'
-    and a 'user' string or null."""
-    d = _parse_line(line)
-    items = d.get("items") if isinstance(d, dict) else None
+def _bulk_sessions(values: list, item_count: int) -> tuple[list[Session], int] | None:
+    """The parsed lines as Sessions plus their largest item id (0 for none),
+    or None unless every value is an object with a non-empty 'items' list of
+    ids in 1..item_count, an integer 'start_ts' and a 'user' string or null.
+    Each check runs once over all the values, not once per value."""
+    if not values:
+        return [], 0
+    if set(map(type, values)) != {dict}:
+        return None
+    items = list(map(dict.get, values, repeat("items")))
+    if set(map(type, items)) != {list} or not all(items):
+        return None
+    flat = list(chain.from_iterable(items))
+    starts = list(map(dict.get, values, repeat("start_ts")))
+    users = list(map(dict.get, values, repeat("user")))
     if (
-        not isinstance(items, list)
-        or set(map(type, items)) != {int}
-        or not 1 <= min(items) <= max(items) <= item_count
-        or type(d.get("start_ts")) is not int
-        or "user" not in d
-        or not isinstance(d["user"], (str, type(None)))
+        set(map(type, flat)) != {int}
+        or not 1 <= min(flat) <= (top := max(flat)) <= item_count
+        or set(map(type, starts)) != {int}
+        or not all(map(dict.__contains__, values, repeat("user")))
+        or not set(map(type, users)) <= {str, type(None)}
     ):
-        raise ValueError(
-            f"expected a non-empty 'items' list of ids in 1..{item_count}, an integer "
-            "'start_ts' and a 'user' string or null"
-        )
-    return Session(items=tuple(items), start_ts=d["start_ts"], user_tag=d["user"])
+        return None
+    return list(map(_new, repeat(Session), zip(map(tuple, items), starts, users))), top
+
+
+def _read_sessions(fpath: str, item_count: int) -> tuple[list[Session], int]:
+    """One split file's sessions plus their largest item id. DataError names
+    the first line, blank lines aside, that holds no JSON or no session."""
+    try:
+        with open(fpath, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{fpath}: not UTF-8 text: {exc}")
+    numbered = [(lineno, line) for lineno, line in enumerate(lines, start=1) if line.strip()]
+    values = []
+    error = None
+    for lineno, line in numbered:
+        try:
+            values.append(_parse_line(line))
+        except (ValueError, RecursionError) as exc:  # RecursionError: deep nesting
+            error = DataError(f"{fpath}: line {lineno}: {exc}")
+            break
+    parsed = _bulk_sessions(values, item_count)
+    if parsed is None:  # name the first line that is no session
+        for (lineno, _), d in zip(numbered, values):
+            if _bulk_sessions([d], item_count) is None:
+                raise DataError(
+                    f"{fpath}: line {lineno}: expected a non-empty 'items' list of ids in "
+                    f"1..{item_count}, an integer 'start_ts' and a 'user' string or null"
+                )
+    if error is not None:
+        raise error
+    return parsed
 
 
 def write_split_manifest(
@@ -519,16 +606,13 @@ def write_split_manifest(
     parts = {"train": split.train, "valid": split.valid, "test": split.test}
     for name, sessions in parts.items():
         with open(os.path.join(out_dir, _SPLIT_FILES[name]), "w", encoding="utf-8") as fh:
-            for s in sessions:
-                fh.write(_session_to_json(s) + "\n")
+            fh.write(_session_lines(sessions))
 
     id_map = split.id_map or {}
-    composed = {
-        raw: id_map[dense] for raw, dense in raw_item_map.items() if dense in id_map
-    }
+    composed = [(id_map[dense], raw) for raw, dense in raw_item_map.items() if dense in id_map]
+    composed.sort(key=itemgetter(0))
     with open(os.path.join(out_dir, ITEM_MAP_FILE), "w", encoding="utf-8") as fh:
-        for raw, final in sorted(composed.items(), key=lambda kv: kv[1]):
-            fh.write(f"{raw}\t{final}\n")
+        fh.write("".join([f"{raw}\t{final}\n" for final, raw in composed]))
 
     stats = split_stats(split)
     with open(os.path.join(out_dir, STATS_FILE), "w", encoding="utf-8") as fh:
@@ -549,6 +633,7 @@ def write_split_manifest(
     return manifest
 
 
+@_collector_paused()
 def read_split_manifest(data_dir: str) -> tuple[SessionSplit, dict]:
     path = os.path.join(data_dir, MANIFEST_FILE)
     if not os.path.exists(path):
@@ -574,22 +659,10 @@ def read_split_manifest(data_dir: str) -> tuple[SessionSplit, dict]:
             "files, an integer 'item_count' and integer session 'counts' for each"
         )
     item_count = manifest["item_count"]
-    parts = {}
+    parts, tops = {}, {}
     for name, fname in files.items():
-        fpath = os.path.join(data_dir, fname)
-        try:
-            with open(fpath, encoding="utf-8") as fh:
-                lines = fh.readlines()
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{fpath}: not UTF-8 text: {exc}")
-        parts[name] = []
-        for lineno, line in enumerate(lines, start=1):
-            if line.strip():
-                try:
-                    parts[name].append(_session_from_json(line, item_count))
-                except (ValueError, RecursionError) as exc:  # RecursionError: deep nesting
-                    raise DataError(f"{fpath}: line {lineno}: {exc}")
-    top = max((max(s.items) for s in parts["train"]), default=0)
+        parts[name], tops[name] = _read_sessions(os.path.join(data_dir, fname), item_count)
+    top = tops["train"]
     if top != item_count:
         raise DataError(
             f"{path}: item_count {item_count} is not the largest train item id ({top})"

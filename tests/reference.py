@@ -6,13 +6,30 @@ module docstrings of proxyrec.selector, proxyrec.encoder and
 proxyrec.scoring. Strict mode (inference) raises on a degenerate mixture;
 non-strict mode (training) pads the denominator with EPS. Parameters are
 read by name from a dict of arrays, w, keyed as ModelParams.named() keys them.
+
+The data section at the end reads an interaction log and a prepared split
+the plain way, one row or line at a time with a dict per row and one
+json.loads per line, as the oracle for proxyrec.data's bulk readers.
 """
 
 from __future__ import annotations
 
+import json
+import math
+import os
+
 import numpy as np
 
-from proxyrec.errors import ConfigError, DegenerateProxyError, LengthError, MetricError
+from proxyrec.data import InteractionRecord, Session, SessionSplit
+from proxyrec.errors import (
+    ConfigError,
+    DataError,
+    DegenerateProxyError,
+    EmptyInputError,
+    LengthError,
+    MetricError,
+    ParseError,
+)
 from proxyrec.scoring import SCORING_MODES
 from proxyrec.trainer import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
@@ -306,3 +323,107 @@ def reference_project_constraints(named) -> None:
     vn = np.linalg.norm(named["normals"], axis=1)
     named["normals"] /= np.maximum(vn, EPS)[:, None]
     named["user_bias"][0] = 0.0
+
+
+# -- data: logs and split files ----------------------------------------------------
+
+
+def reference_timestamp(text: str) -> int | None:
+    """An integer string as that integer, any other finite number rounded
+    down, and None for anything else."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        value = float(text)
+    except ValueError:
+        return None
+    if math.isnan(value) or math.isinf(value):
+        return None
+    return int(value // 1)
+
+
+def reference_load_interactions(path, columns="user,item,time", delimiter="\t",
+                                skip_header=False):
+    """load_interactions on a plain-text log: a dict per row, checks in
+    order (field count, empty item, empty session, timestamp)."""
+    cols = [c.strip() for c in columns.split(",")]
+    records, item_map = [], {}
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if (skip_header and lineno == 1) or not line:
+                continue
+            parts = line.split(delimiter)
+            where = f"{path}: line {lineno}"
+            if len(parts) != len(cols):
+                raise ParseError(f"{where}: expected {len(cols)} fields, got {len(parts)}")
+            row = dict(zip(cols, parts))
+            for name in ("item", "session"):
+                if row.get(name) == "":
+                    raise ParseError(f"{where}: empty {name} field")
+            ts = reference_timestamp(row["time"])
+            if ts is None:
+                raise ParseError(f"{where}: bad timestamp {row['time']!r}")
+            item_map.setdefault(row["item"], len(item_map) + 1)
+            records.append(InteractionRecord(
+                item_id=item_map[row["item"]], timestamp=ts,
+                user_tag=row.get("user") or None, session_tag=row.get("session"),
+            ))
+    if not records:
+        raise EmptyInputError(f"{path}: no interactions parsed")
+    return records, item_map
+
+
+def reference_split_file(fpath, item_count: int) -> list[Session]:
+    """One split file, one json.loads and one shape check per non-blank line."""
+    sessions = []
+    with open(fpath, encoding="utf-8") as fh:
+        lines = fh.readlines()
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            d = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            raise DataError(f"{fpath}: line {lineno}: {exc}")
+        items = d.get("items") if isinstance(d, dict) else None
+        if not (
+            isinstance(items, list)
+            and items
+            and all(type(i) is int and 1 <= i <= item_count for i in items)
+            and type(d.get("start_ts")) is int
+            and "user" in d
+            and (d["user"] is None or isinstance(d["user"], str))
+        ):
+            raise DataError(
+                f"{fpath}: line {lineno}: expected a non-empty 'items' list of ids in "
+                f"1..{item_count}, an integer 'start_ts' and a 'user' string or null"
+            )
+        sessions.append(Session(items=tuple(items), start_ts=d["start_ts"], user_tag=d["user"]))
+    return sessions
+
+
+def reference_read_split(data_dir) -> SessionSplit:
+    """read_split_manifest for a well-formed manifest whose split files may
+    be damaged: each file in the manifest's order, then the train item
+    check, then the session counts."""
+    path = os.path.join(data_dir, "manifest.json")
+    with open(path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    item_count, files = manifest["item_count"], manifest["files"]
+    parts = {name: reference_split_file(os.path.join(data_dir, fname), item_count)
+             for name, fname in files.items()}
+    top = max((i for s in parts["train"] for i in s.items), default=0)
+    if top != item_count:
+        raise DataError(
+            f"{path}: item_count {item_count} is not the largest train item id ({top})"
+        )
+    for name, fname in files.items():
+        if len(parts[name]) != manifest["counts"][name]:
+            raise DataError(
+                f"{os.path.join(data_dir, fname)}: {len(parts[name])} sessions, "
+                f"but the manifest counts {manifest['counts'][name]}"
+            )
+    return SessionSplit(parts["train"], parts["valid"], parts["test"], item_count)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import gzip
+import hashlib
 import json
 import os
 import struct
@@ -14,7 +15,7 @@ from proxyrec import cli as cli_module
 from proxyrec import data as data_module
 from proxyrec.cli import ablation_variants, main, read_config_file, resolve_config
 from proxyrec.data import read_split_manifest
-from proxyrec.errors import ConfigError, DataError, NumericError
+from proxyrec.errors import ConfigError, NumericError
 from proxyrec.synth import planted_corpus
 from proxyrec.trainer import TrainConfig, load_checkpoint, save_checkpoint
 
@@ -138,15 +139,14 @@ def test_prepare_writes_stats_and_is_rerunnable(prepared, capsys):
         assert (data2 / name).read_bytes() == blob
 
 
-def test_failed_prepare_leaves_no_manifest_over_rewritten_split_files(
-    prepared, capsys, monkeypatch
-):
+def test_failed_prepare_leaves_the_earlier_split_intact(prepared, capsys, monkeypatch):
     tmp_path, data, _ = prepared
     other = tmp_path / "other.tsv"
     write_log(other, planted_corpus(
         n_users=6, n_items=60, sessions_per_user=25, owners_per_item=3, seed=1
     ))
-    old_train = (data / "train.jsonl").read_bytes()
+    old_files = {name: (data / name).read_bytes() for name in os.listdir(data)}
+    old_split, old_manifest = read_split_manifest(str(data))
     opened = []
 
     def failing_open(path, *args, **kwargs):
@@ -162,11 +162,61 @@ def test_failed_prepare_leaves_no_manifest_over_rewritten_split_files(
     assert rc == 2
     err = capsys.readouterr().err
     assert "No space left on device" in err and "Traceback" not in err
-    # the train file is the new run's, the others the earlier run's: no
-    # manifest may pair them
-    assert (data / "train.jsonl").read_bytes() != old_train
-    with pytest.raises(DataError, match="no manifest .* run prepare first"):
-        read_split_manifest(str(data))
+    # the new run wrote its train file into the stage before the fault; the
+    # directory still holds exactly the earlier run's files, which still load
+    assert len(opened) == 2
+    assert {name: (data / name).read_bytes() for name in os.listdir(data)} == old_files
+    monkeypatch.undo()
+    assert read_split_manifest(str(data)) == (old_split, old_manifest)
+
+
+# user tags that json.dumps escapes: a quote, a backslash, non-ASCII, controls
+ODD_USERS = {"u000": 'u"0\\', "u001": "\u00fc1 \u2603", "u002": "u2/\x7f\x01"}
+
+# sha256 of every file prepare writes for write_pinned_log's log, taken from
+# the json.dumps writer, with and without --anonymize
+PINNED_PREPARE = {
+    (): {
+        "item_map.tsv": "79a7eb348af4bb07c70fbc5deeeda40040226f27891eb9e179429d70d7bf66cd",
+        "manifest.json": "8e26081e9cce6c4790b4dc070a03407829ff83d92408b0cac19c8d4848357396",
+        "stats.txt": "e60f78c54b1a8518c41f38e4277cc3e1b0aa4f1f306db7e25d7f17b012002e96",
+        "test.jsonl": "c2785010b08d242a04e1354fc0f7e760eabf04eda21edb10a38e4ede5a38bcb3",
+        "train.jsonl": "e0bc777c1d0fc93ecc58f4e3260bcaa6574f7fe3b3f93a956603621c01ee3133",
+        "valid.jsonl": "54231cb848035cd403671c6c278fa90d85ce5212c8ff4029d25ce49512c9f688",
+    },
+    ("--anonymize",): {
+        "item_map.tsv": "79a7eb348af4bb07c70fbc5deeeda40040226f27891eb9e179429d70d7bf66cd",
+        "manifest.json": "8e26081e9cce6c4790b4dc070a03407829ff83d92408b0cac19c8d4848357396",
+        "stats.txt": "e60f78c54b1a8518c41f38e4277cc3e1b0aa4f1f306db7e25d7f17b012002e96",
+        "test.jsonl": "287723f90666af0af59858698f695adacbb1beaa4181affe5aa57b7817d69bee",
+        "train.jsonl": "a8d6feaf9c85d1d30e7a63ca9a85cd82b5a80ef6b2269aebb1465e4a52d25d52",
+        "valid.jsonl": "3df3d51068e5244fc7c9dd6c26ef3cef022020815e3356929f14f7cc92a186e6",
+    },
+}
+
+
+def write_pinned_log(path):
+    """246 sessions after day cuts, 12 of 600 items filtered out as rare,
+    sessions over the 50-item cap truncated, and three escaped user tags."""
+    corpus = planted_corpus(n_users=8, n_items=600, sessions_per_user=30,
+                            length_range=(2, 60), seed=3)
+    with open(path, "w", encoding="utf-8") as fh:
+        for s in corpus:
+            user = ODD_USERS.get(s.user_tag, s.user_tag)
+            for j, item in enumerate(s.items):
+                fh.write(f"{user}\titem{item}\t{s.start_ts + 3600 * j}\n")
+
+
+@pytest.mark.parametrize("flags", sorted(PINNED_PREPARE))
+def test_prepare_outputs_keep_their_bytes(tmp_path, capsys, flags):
+    write_pinned_log(tmp_path / "log.tsv")
+    out = tmp_path / "out"
+    rc = main(["prepare", "--input", str(tmp_path / "log.tsv"), "--out-dir", str(out), *flags])
+    assert rc == 0
+    capsys.readouterr()
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in os.listdir(out)}
+    assert digests == PINNED_PREPARE[flags]
 
 
 def test_prepare_ten_session_toy_log(tmp_path, capsys):

@@ -1,12 +1,15 @@
 """Dataset pipeline tests: parsing, sessionization, filters, splits, instances."""
 
+import gc
 import gzip
 import json
 import os
+import tempfile
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from proxyrec import data as D
 from proxyrec.data import (
@@ -34,9 +37,15 @@ from proxyrec.errors import (
     SamplingError,
     SplitError,
 )
-from reference import reference_negatives
+from reference import (
+    reference_load_interactions,
+    reference_negatives,
+    reference_read_split,
+)
 
 DAY = D.SECONDS_PER_DAY
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=200, deadline=None)
 
 
 def write_tsv(path, rows):
@@ -116,6 +125,123 @@ class TestLoading:
             load_interactions("whatever", columns="user,thing,time")
         with pytest.raises(DataError):
             load_interactions("whatever", columns="user,item")
+
+    def test_integer_timestamps_read_exactly(self, tmp_path):
+        p = tmp_path / "x.tsv"
+        p.write_text("u\ta\t1700000000123456789\nu\tb\t-7\nu\tc\t+12\n")
+        records, _ = load_interactions(str(p))
+        # through a float the first would read 1700000000123456768
+        assert [r.timestamp for r in records] == [1700000000123456789, -7, 12]
+
+    def test_fractional_timestamps_floored(self, tmp_path):
+        p = tmp_path / "x.tsv"
+        p.write_text("u\ta\t-5.5\nu\tb\t5.5\nu\tc\t-0.25\nu\td\t1e3\nu\te\t7.0\n")
+        records, _ = load_interactions(str(p))
+        assert [r.timestamp for r in records] == [-6, 5, -1, 1000, 7]
+
+    @pytest.mark.parametrize("stamp", ["noon", "nan", "inf", "-inf", "", "1e400"])
+    def test_non_numbers_and_non_finite_timestamps_name_the_line(self, tmp_path, stamp):
+        p = tmp_path / "x.tsv"
+        p.write_text(f"u\ta\t1\nu\tb\t{stamp}\n")
+        with pytest.raises(ParseError) as err:
+            load_interactions(str(p))
+        assert str(err.value) == f"{p}: line 2: bad timestamp {stamp!r}"
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    def test_collector_state_restored(self, tmp_path, monkeypatch, enabled):
+        good, bad = tmp_path / "good.tsv", tmp_path / "bad.tsv"
+        good.write_text("u\ta\t1.5\nu\tb\t2\n")
+        bad.write_text("u\ta\t1\nu\tb\t2\nu\tc\tnoon\nu\td\t4\n")
+        during = []
+        floored = D._floored
+
+        def spy(text, where):
+            during.append(gc.isenabled())
+            return floored(text, where)
+
+        monkeypatch.setattr(D, "_floored", spy)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            records, _ = load_interactions(str(good))
+            after_success = gc.isenabled()
+            with pytest.raises(ParseError, match="line 3"):
+                load_interactions(str(bad))
+            after_error = gc.isenabled()
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert [r.timestamp for r in records] == [1, 2]
+        assert during == [False, False]  # paused while the rows were read
+        assert after_success is enabled and after_error is enabled
+
+    def test_records_are_immutable_named_tuples(self):
+        r = D.InteractionRecord(item_id=3, timestamp=5)
+        assert r == D.InteractionRecord(3, 5, None, None) and hash(r) == hash((3, 5, None, None))
+        assert r._fields == ("item_id", "timestamp", "user_tag", "session_tag")
+        with pytest.raises(AttributeError):
+            r.item_id = 4
+        inst = PredictionInstance(prefix=(1,), target=2, parent_items=(1, 2))
+        assert (inst.user_tag, inst.known_user) == (None, False)
+        s = Session(items=(4, 5, 6), start_ts=9)
+        assert len(s) == 3 and s.user_tag is None
+
+
+# rows repeat a few item, user and session names; up to two fields of a log
+# are then swapped for an empty field, a field holding a delimiter, or a
+# timestamp that is no finite number, and one row may lose or gain a field
+_NAME = st.sampled_from(["a", "b", "é1", "-", " u "])
+_ODD_FIELD = st.sampled_from(["", "x,y", "p;q", "a\tb"])
+_STAMP = st.one_of(
+    st.integers(-(10 ** 20), 10 ** 20).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["1700000000123456789", "-5.5", "5.5", "-0.0", "1e3", " 7 ", "1_000"]),
+)
+_ODD_STAMP = st.sampled_from(["noon", "nan", "inf", "-inf", "", "1e400", "0x10", "1.5.2"])
+
+
+@st.composite
+def interaction_logs(draw):
+    """(columns, delimiter, skip_header, text) for a small log."""
+    cols = ["item", "time"] + draw(st.lists(st.sampled_from(["user", "session"]),
+                                            unique=True))
+    cols += ["-"] * draw(st.integers(0, 2))
+    cols = draw(st.permutations(cols))
+    delimiter = draw(st.sampled_from(["\t", ",", ";"]))
+    rows = [[draw(_STAMP) if c == "time" else draw(_NAME) for c in cols]
+            for _ in range(draw(st.integers(0, 12)))]
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        row, at = draw(st.sampled_from(rows)), draw(st.integers(0, len(cols) - 1))
+        row[at] = draw(_ODD_STAMP if cols[at] == "time" else _ODD_FIELD)
+    if rows and draw(st.integers(0, 3)) == 0:
+        row = draw(st.sampled_from(rows))
+        row[:] = row[:-1] if draw(st.booleans()) else row + ["z"]
+    lines = [delimiter.join(row) for row in rows]
+    if lines and draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), "")  # a blank line
+    text = "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+    return ",".join(cols), delimiter, draw(st.booleans()), text
+
+
+class TestLoadingMatchesReference:
+    @staticmethod
+    def outcome(load, path, columns, delimiter, skip_header):
+        try:
+            return load(path, columns=columns, delimiter=delimiter, skip_header=skip_header)
+        except (ParseError, EmptyInputError) as exc:
+            return type(exc).__name__, str(exc)
+
+    @PROPERTY
+    @given(log=interaction_logs())
+    def test_records_item_map_and_errors_match(self, log):
+        columns, delimiter, skip_header, text = log
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "log.txt")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            got = self.outcome(load_interactions, path, columns, delimiter, skip_header)
+            want = self.outcome(reference_load_interactions, path, columns, delimiter,
+                                skip_header)
+        assert got == want
 
 
 class TestSessionBuilding:
@@ -520,6 +646,60 @@ class TestManifest:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataError):
             read_split_manifest(str(tmp_path / "nope"))
+
+    @PROPERTY
+    @given(sessions=st.lists(st.tuples(
+        st.lists(st.integers(1, 10 ** 12), min_size=1, max_size=6).map(tuple),
+        st.integers(-(10 ** 20), 10 ** 20),
+        st.one_of(st.none(), st.text(max_size=6)),
+    ), min_size=1, max_size=6))
+    def test_split_files_hold_json_dumps_lines(self, sessions):
+        sessions = [Session(*fields) for fields in sessions]
+        split = D.SessionSplit(train=sessions, valid=sessions[:1], test=[], item_count=10 ** 12)
+        with tempfile.TemporaryDirectory() as tmp:
+            write_split_manifest(split, tmp, {}, FilterConfig(), (8, 1, 1))
+            with open(os.path.join(tmp, "train.jsonl"), "rb") as fh:
+                got = fh.read()
+        want = "".join(
+            json.dumps({"items": list(s.items), "start_ts": s.start_ts, "user": s.user_tag},
+                       sort_keys=True, separators=(",", ":")) + "\n"
+            for s in sessions
+        )
+        assert got == want.encode("utf-8")
+
+    # lines a damaged split file may hold, each checked differently: the bulk
+    # checks must name the same first bad line, with the same words, as one
+    # json.loads and one shape check per line
+    ODD_LINES = [
+        '{"items":[1,2],"start_ts":0,"user":null}', '{"items":[],"start_ts":0,"user":null}',
+        '{"items":[0],"start_ts":0,"user":null}', '{"items":[99],"start_ts":0,"user":"u"}',
+        '{"items":[true],"start_ts":0,"user":null}', '{"items":[1.0],"start_ts":0,"user":"u"}',
+        '{"items":[1],"start_ts":1.5,"user":null}', '{"items":[1],"start_ts":false,"user":null}',
+        '{"items":[1],"start_ts":0}', '{"items":[1],"start_ts":0,"user":5}',
+        '{"items":[2],"user":"u","start_ts":3}', '{"items":"1","start_ts":0,"user":null}',
+        '{"items":[1]} {}', ' {"items":[1],"start_ts":0,"user":"x"} ', '[1]', '7', 'nul',
+        '"items"', '{"items":[1],', "[" * 5000, "", "  ",
+    ]
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_damaged_split_lines_read_as_line_by_line(self, tmp_path_factory, data):
+        out = self.pipeline(tmp_path_factory.mktemp("split"))
+        for name in data.draw(st.lists(st.sampled_from(["train", "valid", "test"]),
+                                       max_size=2)):
+            path = out / f"{name}.jsonl"
+            lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+            at = data.draw(st.integers(0, len(lines)))
+            odd = data.draw(st.sampled_from(self.ODD_LINES))
+            lines[at:at + data.draw(st.integers(0, 1))] = [odd + "\n"]
+            path.write_text("".join(lines), encoding="utf-8")
+        outcomes = []
+        for read in (lambda: read_split_manifest(str(out))[0], lambda: reference_read_split(out)):
+            try:
+                outcomes.append(read())
+            except DataError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
     @pytest.mark.parametrize(
         "line",
