@@ -364,6 +364,8 @@ def cmd_ablate(args) -> int:
         raise ConfigError(f"ablate needs mode = full, got mode = {base.mode!r}")
     split, _ = read_split_manifest(args.data)
     known = pick_known_users(split, base)
+    # no variant changes the task or the known users
+    instances = expand_all(split.test, base.task, set(known))
 
     with _staged(args.out_dir) as stage:
         rows = []
@@ -371,7 +373,6 @@ def cmd_ablate(args) -> int:
             print(f"[{name}]")
             names = (f"{name}.ckpt", f"{name}.log.jsonl", f"{name}.timing.jsonl")
             result = _fit_into(stage, names, split, cfg, known, echo=False)
-            instances = expand_all(split.test, cfg.task, set(known))
             report = evaluate(
                 params=result.params,
                 instances=instances,

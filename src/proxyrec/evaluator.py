@@ -19,8 +19,13 @@ product against a float32 copy of catalog_table, made once per call, and
 two elementwise passes. A chunk's product, at most CHUNK_ELEMENTS float32
 values (4 MiB), goes straight to ranking and is freed before the next
 chunk's is built, so one block is held at a time. The forward packs a
-chunk's prefixes into one run table with no padding, so the order of the
-instances costs nothing.
+chunk's prefixes into one run table with no padding, and its selector
+computes a prefix that extends the one before it from that one's rows
+(selector._chained). Each prefix's mean is still np.add.reduceat's sum of
+its own rows, as in training; a difference of running cumsums would round
+differently. So expand_all's order, each session's prefixes in turn, is
+the cheap one: a chunk costs the selector its sessions' rows, not the sum
+of its prefix lengths. Any other order ranks the same, at more cost.
 
 The screen is trusted only outside a band of half-width
 
@@ -61,8 +66,8 @@ Float32 holds the screen only while its values stay far from overflow: a
 chunk where 1 + max ||q||^2 + max ||x||^2 reaches SCREEN_LIMIT = 2^100 runs
 the same code on the float64 table with u = u64. Underflow to float32's
 subnormals costs less than one ulp of the 1 in S. Each instance is ranked on
-its own row; which chunk it falls in can move its query point by rounding
-only.
+its own row; which chunk it falls in, and which prefixes share its
+selector rows there, can move its query point by rounding only.
 """
 
 from __future__ import annotations

@@ -21,6 +21,23 @@ the session. W2 is linear, so the mean is taken over the hidden rows before
 W2: each run's row sum divided by its length. The encoder shares the run
 table.
 
+Over leaves that need no gradient (evaluation, and validation inside fit)
+the op records nothing, and it computes each chain of prefixes once
+(_chained): a sequence that starts with the whole sequence before it shares
+that sequence's rows. expand_all lists a session's prefixes 1..L-1 in turn,
+so they gather, multiply by W1 and leaky-relu the L-1 rows of the longest
+one, not L(L-1)/2 rows. The hidden rows are then copied out to the packed
+layout, and each run is summed by the recorded op's own np.add.reduceat
+over its [start, end). reduceat sums a run, per column, as
+h[s] + pairwise(h[s+1:e]), so each sum has the recorded op's bits, where a
+running cumsum, differenced, rounds differently. Summing the shared rows in
+place, as interleaved start, end pairs, doubles reduceat's outputs; its cost
+goes by output and column, so with a (64, 82) W1 that took longer than the
+copy it saves. The hidden rows themselves are the recorded op's only where
+BLAS gives a product row the same bits at either height. OpenBLAS does for
+a (32, 31) W1 from two rows on, but for a (64, 82) one not below about 190
+rows, where shared logits can differ by rounding.
+
 selection_logits is one recorded op (autodiff.Tensor.record). Its forward
 evaluates the chain above in numpy with the expressions, and in the order,
 of the autodiff ops it stands for, so it gives their bits, and reports the
@@ -94,21 +111,48 @@ def temperature(epoch: int, sched: AnnealSchedule) -> float:
     return max(t, sched.end)
 
 
-def _packed(seqs, max_rows: int, what: str):
-    """The run table of a batch: the T real ids of all sequences in order,
-    each id's position within its sequence, and the (B,) lengths and run
-    starts (row of each sequence's first id)."""
+def _lengths(seqs, max_rows: int, what: str) -> np.ndarray:
+    """The (B,) lengths of seqs; one outside the positional table raises."""
     lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
     bad = lengths[(lengths < 1) | (lengths > max_rows)]
     if bad.size:
         raise LengthError(
             f"{what} length {bad[0]} outside positional table of {max_rows} rows"
         )
+    return lengths
+
+
+def _packed(seqs, max_rows: int, what: str):
+    """The run table of a batch: the T real ids of all sequences in order,
+    each id's position within its sequence, and the (B,) lengths and run
+    starts (row of each sequence's first id)."""
+    lengths = _lengths(seqs, max_rows, what)
     ends = np.cumsum(lengths)
     starts = ends - lengths
     total = int(ends[-1])
     ids = np.fromiter(itertools.chain.from_iterable(seqs), dtype=np.int64, count=total)
     return ids, np.arange(total) - np.repeat(starts, lengths), lengths, starts
+
+
+def _chained(seqs, max_rows: int, what: str):
+    """_packed's run table with each chain of prefixes computed once: a
+    sequence that starts with the whole sequence before it joins that one's
+    chain, and a chain's rows are those of its longest (last) member.
+    Returns the ids and positions of the chains' rows, _packed's (B,)
+    lengths and run starts, and for each of _packed's T rows its row among
+    the chains'."""
+    lengths = _lengths(seqs, max_rows, what)
+    # opens[b]: sequence b starts a chain; the end of the batch closes one
+    opens = np.fromiter(
+        itertools.chain((True,), (s[: len(p)] != p for p, s in zip(seqs, seqs[1:])), (True,)),
+        dtype=bool,
+        count=len(seqs) + 1,
+    )
+    ids, positions, _, chain_starts = _packed(list(itertools.compress(seqs, opens[1:])), max_rows, what)
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    shift = chain_starts[np.cumsum(opens[:-1]) - 1] - starts
+    return ids, positions, lengths, starts, np.arange(int(ends[-1])) + np.repeat(shift, lengths)
 
 
 def _leaky_slopes(above: np.ndarray) -> np.ndarray:
@@ -123,9 +167,14 @@ def _leaky_slopes(above: np.ndarray) -> np.ndarray:
 def selection_logits(item_lists, leaves: dict[str, Tensor]) -> Tensor:
     """Selection logits (B, K): position-wise FFN scores averaged over each
     session's positions (a run sum divided by the length). One recorded op
-    over items, sel_pos, sel_w1 and sel_w2."""
+    over items, sel_pos, sel_w1 and sel_w2; over leaves that need no
+    gradient, a sequence that extends the one before it shares its rows."""
     inputs = items, pos, w1, w2 = tuple(leaves[n] for n in ("items", "sel_pos", "sel_w1", "sel_w2"))
-    ids, positions, lengths, starts = _packed(item_lists, pos.data.shape[0], "session")
+    max_rows, rows = pos.data.shape[0], None
+    if any(t.requires_grad for t in inputs):
+        ids, positions, lengths, starts = _packed(item_lists, max_rows, "session")
+    else:
+        ids, positions, lengths, starts, rows = _chained(item_lists, max_rows, "session")
     x = items.data[ids]
     x += pos.data[positions]
     h = np.matmul(x, w1.data)
@@ -133,6 +182,8 @@ def selection_logits(item_lists, leaves: dict[str, Tensor]) -> Tensor:
     # h > 0 rather than not h <= 0, so a nan takes the slope 0.1
     above = h > 0.0
     h *= _leaky_slopes(above)
+    if rows is not None:  # the chains' rows, copied out to the packed layout
+        h = h[rows]
     mean_h = np.add.reduceat(h, starts, axis=0)
     counts = lengths[:, None].astype(np.float64)
     mean_h /= counts

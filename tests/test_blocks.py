@@ -93,6 +93,25 @@ def test_every_input_matches_finite_differences(name):
     assert report.ok(1e-4), report.per_tensor
 
 
+def test_strict_selection_over_prefix_chains_matches_finite_differences():
+    # inference's input: consecutive prefixes of one session, then another;
+    # over leaves that require a gradient the recorded op runs on them
+    parent = SEQS[2]
+    batch = [PredictionInstance(prefix=parent[:n], target=parent[n], parent_items=parent)
+             for n in (1, 2, 2, 4, 5)]
+    batch += [PredictionInstance(prefix=s[:n], target=1, parent_items=s)
+              for s in SEQS[:2] for n in range(1, len(s) + 1)]
+    rows = [0, 1, 0, 2, 1, 2, 0, 1]
+    rng = np.random.default_rng(14)
+    leaves = tail_leaves(rng)
+    weight = rng.normal(size=(2, len(batch), D))
+    report = finite_difference_check(
+        weighted(lambda lv: select(batch, rows, lv, 0.7, True)[1], leaves, weight), leaves, h=1e-5
+    )
+    assert report.checked > 0.9 * (report.checked + report.skipped)
+    assert report.ok(1e-4), report.per_tensor
+
+
 def left_and_right_quotients(f, arr, index, h=1e-5):
     """One-sided difference quotients of f in the coordinate arr[index]."""
     saved = arr[index]

@@ -17,7 +17,7 @@ from proxyrec.cli import ablation_variants, main, read_config_file, resolve_conf
 from proxyrec.data import read_split_manifest
 from proxyrec.errors import ConfigError, NumericError
 from proxyrec.synth import planted_corpus
-from proxyrec.trainer import TrainConfig, load_checkpoint, save_checkpoint
+from proxyrec.trainer import TrainConfig, load_checkpoint, pick_known_users, save_checkpoint
 
 
 def write_log(path, corpus):
@@ -802,6 +802,47 @@ def test_ablate_grid_and_full_row_matches_standalone_train(prepared, capsys):
     _, _, meta = load_checkpoint(str(grid / "weighted_comb.ckpt"))
     assert meta["config"]["anneal_end"] == meta["config"]["anneal_start"] == 3.0
     assert meta["tau"] == 3.0
+
+
+def test_ablation_variants_keep_the_task_and_the_known_users(prepared):
+    _, data, _ = prepared
+    split, _ = read_split_manifest(str(data))
+    for base in (TrainConfig(known_user_ratio=0.5), TrainConfig(task="repeat", seed=3)):
+        known = pick_known_users(split, base)
+        for cfg in ablation_variants(base).values():
+            assert cfg.task == base.task
+            assert pick_known_users(split, cfg) == known
+
+
+def test_ablate_expands_the_test_split_once_and_keeps_the_grid_bytes(
+    prepared, capsys, monkeypatch
+):
+    tmp_path, data, cfg = prepared
+    split, _ = read_split_manifest(str(data))
+    expand, evaluate, expanded = cli_module.expand_all, cli_module.evaluate, []
+
+    def counted(sessions, *args, **kwargs):
+        expanded.append(sessions)
+        return expand(sessions, *args, **kwargs)
+
+    def ablate(out_dir):
+        argv = ["ablate", "--data", str(data), "--out-dir", str(out_dir), "--config", str(cfg)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        return {name: (out_dir / name).read_bytes() for name in ("ablation.json", "ablation.txt")}
+
+    monkeypatch.setattr(cli_module, "expand_all", counted)
+    once = ablate(tmp_path / "once")
+    assert expanded == [split.test]
+
+    # each variant's evaluate handed a test split expanded for it alone
+    known = set(pick_known_users(split, resolve_config(str(cfg))))
+
+    def per_variant(**kwargs):
+        return evaluate(**dict(kwargs, instances=expand(split.test, kwargs["task"], known)))
+
+    monkeypatch.setattr(cli_module, "evaluate", per_variant)
+    assert ablate(tmp_path / "per_variant") == once
 
 
 @pytest.mark.parametrize("where", ["--set", "config"])

@@ -229,6 +229,21 @@ class TestBatchedRanking:
         got = compute_ranks(params, instances, task, 0.3, mode=mode)
         np.testing.assert_array_equal(got, reference_ranks(params, instances, task, 0.3, mode))
 
+    @pytest.mark.parametrize("task", ["unseen", "repeat"])
+    def test_prefix_chains_cut_by_chunk_edges_rank_as_the_reference(self, task, monkeypatch):
+        # a chunk edge inside a session's prefixes splits the rows they share
+        monkeypatch.setattr(evaluator, "CHUNK_ROWS", 3)
+        split = chronological_split(
+            planted_corpus(n_users=6, n_items=80, sessions_per_user=12, seed=5)
+        )
+        cfg = TrainConfig(embed_dim=8, proxy_count=5, max_len=50, seed=4)
+        params = init_model(split.item_count, cfg)
+        instances = expand_all(split.test, task, set())
+        cut = [(a.prefix, b.prefix) for a, b in zip(instances[2::3], instances[3::3])]
+        assert sum(b[: len(a)] == a for a, b in cut) >= 5
+        got = compute_ranks(params, instances, task, 0.3)
+        np.testing.assert_array_equal(got, reference_ranks(params, instances, task, 0.3))
+
     @pytest.mark.parametrize("mode", SCORING_MODES)
     def test_copied_item_rows_rank_by_id(self, mode):
         # copies near the end of the catalog fall on the matrix product's

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from gradcheck import KinkRecorder
 from proxyrec.autodiff import Tensor
 from proxyrec.data import PredictionInstance
 from proxyrec.errors import ConfigError, DegenerateProxyError, LengthError
 from proxyrec.selector import (
     AnnealSchedule,
+    _chained,
     _packed,
     assemble_proxy,
     select,
@@ -230,6 +232,87 @@ def test_run_table_holds_only_real_rows():
     np.testing.assert_array_equal(starts, [0, 3, 4])
     with pytest.raises(LengthError, match="session length 4"):
         _packed([(1,), (1, 2, 3, 4)], 3, "session")
+
+
+def test_chained_table_holds_each_chain_once():
+    seqs = [(5,), (5, 6), (5, 6), (9,), (2, 4), (2,)]
+    ids, positions, lengths, starts, rows = _chained(seqs, 3, "session")
+    np.testing.assert_array_equal(ids, [5, 6, 9, 2, 4, 2])
+    np.testing.assert_array_equal(positions, [0, 1, 0, 0, 1, 0])
+    # _packed's runs, each read from its chain's rows
+    np.testing.assert_array_equal(lengths, [1, 2, 2, 1, 2, 1])
+    np.testing.assert_array_equal(starts, [0, 1, 3, 5, 6, 8])
+    np.testing.assert_array_equal(rows, [0, 0, 1, 0, 1, 2, 3, 4, 5])
+    packed_ids, packed_positions, _, _ = _packed(seqs, 3, "session")
+    np.testing.assert_array_equal(ids[rows], packed_ids)
+    np.testing.assert_array_equal(positions[rows], packed_positions)
+
+
+def both_logits(seqs, named):
+    """selection_logits over the same lists: recorded (every leaf requires a
+    gradient) and frozen, with the hidden rows each one reported."""
+    out = []
+    for live in (True, False):
+        leaves = {n: Tensor(a, requires_grad=live) for n, a in named.items()}
+        with KinkRecorder() as rec:
+            logits = selection_logits(seqs, leaves)
+        assert logits.requires_grad == live
+        out += [logits.data, rec.preacts[0].shape[0]]
+    return out
+
+
+# name -> (sequences, rows the frozen path computes)
+CHAINS = {
+    "prefix chain": ([(3,), (3, 7), (3, 7, 2), (3, 7, 2, 9)], 4),
+    # (3,) after (3, 7) does not start with it, so it opens a chain again
+    "chain broken by another session": (
+        [(3,), (3, 7), (5, 1), (3, 7, 2), (3, 7, 2, 9), (3,)], 9),
+    # the unseen prefixes of (4, 8, 4, 6, 1): (4, 8) is skipped, its target
+    # lies in it
+    "unseen chain with skipped lengths": ([(4,), (4, 8, 4), (4, 8, 4, 6)], 4),
+    "equal sequences back to back": ([(2, 5), (2, 5), (2, 5, 6), (2, 5, 6)], 3),
+    "lone one-item prefix": ([(7,)], 1),
+}
+
+
+@pytest.mark.parametrize("name", CHAINS)
+def test_frozen_logits_share_a_chains_rows_and_match_the_recorded_op(name):
+    seqs, rows = CHAINS[name]
+    params = init_model(20, TrainConfig(embed_dim=6, proxy_count=4, max_len=8, seed=3))
+    recorded, recorded_rows, frozen, frozen_rows = both_logits(seqs, params.named())
+    assert recorded_rows == sum(map(len, seqs))
+    assert frozen_rows == rows
+    np.testing.assert_allclose(frozen, recorded, rtol=0, atol=1e-12)
+
+
+def test_frozen_logits_are_the_recorded_bits_at_d32():
+    # the long_sessions shape: sessions of 10 to 50 items, every prefix in
+    # expand_all's order, then each case above
+    cfg = TrainConfig(embed_dim=32, proxy_count=30, max_len=50, seed=5)
+    params = init_model(500, cfg)
+    rng = np.random.default_rng(6)
+    seqs = []
+    for _ in range(12):
+        parent = tuple(int(i) for i in rng.integers(1, 501, size=int(rng.integers(10, 51))))
+        seqs += [parent[:t] for t in range(1, len(parent))]
+    for case, _ in CHAINS.values():
+        seqs += case
+    recorded, _, frozen, rows = both_logits(seqs, params.named())
+    assert rows < sum(map(len, seqs)) / 10
+    assert frozen.tobytes() == recorded.tobytes()
+    # a lone one-item prefix: a product one row high on both paths
+    recorded, _, frozen, _ = both_logits([(7,)], params.named())
+    assert frozen.tobytes() == recorded.tobytes()
+
+
+@pytest.mark.parametrize("live", [True, False], ids=["recorded", "frozen"])
+def test_an_over_long_session_raises_on_either_path(live):
+    params = init_model(20, TrainConfig(embed_dim=6, proxy_count=4, max_len=8, seed=3))
+    leaves = {n: Tensor(a, requires_grad=live) for n, a in params.named().items()}
+    # the over-long sequence extends the chain before it
+    seqs = [(1,), (1, 2), tuple(range(1, 10))]
+    with pytest.raises(LengthError, match=r"^session length 9 outside positional table of 8 rows$"):
+        selection_logits(seqs, leaves)
 
 
 class TestSelectionPaths:
