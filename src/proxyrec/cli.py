@@ -14,10 +14,11 @@ except the wall-clock seconds, which go to their own timing files.
 
 Every file that prepare, train, ablate or evaluate writes lands in its output
 directory together, once the command has succeeded: until then the files sit
-in a staging directory inside it, so a failed run leaves the earlier run's
-files as they were. ablate so keeps its whole new grid on disk beside the old
-one until the end of the run. prepare moves its manifest in last, after
-removing the old one, so no manifest vouches for split files of two runs.
+in a staging directory inside it (data.staged, the one staging path), so a
+failed run leaves the earlier run's files as they were. ablate so keeps its
+whole new grid on disk beside the old one until the end of the run. prepare
+moves its manifest in last, after removing the old one, so no manifest
+vouches for split files of two runs.
 
 Process exit codes: 0 success, 1 usage or configuration, 2 data or artifact
 problems, 3 numeric failure during training.
@@ -26,16 +27,12 @@ problems, 3 numeric failure during training.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import json
 import os
-import shutil
 import sys
-import tempfile
 
 from .data import (
-    MANIFEST_FILE,
     TASKS,
     FilterConfig,
     apply_filters,
@@ -46,6 +43,7 @@ from .data import (
     load_interactions,
     read_split_manifest,
     split_stats,
+    staged,
     write_split_manifest,
 )
 from .errors import CheckpointError, ConfigError, NumericError, ProxyRecError
@@ -184,28 +182,6 @@ def _parse_int_list(text: str, what: str, n: int | None = None) -> tuple[int, ..
 # -- commands --------------------------------------------------------------------
 
 
-@contextlib.contextmanager
-def _staged(out_dir: str, last: str | None = None):
-    """A fresh directory inside out_dir for a command's files. They are renamed
-    onto their names in out_dir only when the with-block succeeds; when it
-    raises the directory is removed, so an earlier run's files keep their bytes.
-    The file named last, which vouches for the others, is removed from out_dir
-    before the first rename and renamed after all the others, so it never
-    pairs with a half-renamed set."""
-    os.makedirs(out_dir, exist_ok=True)
-    stage = tempfile.mkdtemp(suffix=".tmp", dir=out_dir)
-    try:
-        yield stage
-        names = sorted(os.listdir(stage), key=lambda name: (name == last, name))
-        if last is not None:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(os.path.join(out_dir, last))
-        for name in names:
-            os.replace(os.path.join(stage, name), os.path.join(out_dir, name))
-    finally:
-        shutil.rmtree(stage, ignore_errors=True)
-
-
 def _write(directory: str, name: str, body) -> None:
     """One text file, a line break after body; a body that is not a str goes
     in as indented JSON with sorted keys."""
@@ -270,8 +246,7 @@ def cmd_prepare(args) -> int:
     sessions = apply_filters(sessions, fcfg)
     split = chronological_split(sessions, ratios, min_session_len=fcfg.min_session_len)
 
-    with _staged(args.out_dir, last=MANIFEST_FILE) as stage:
-        write_split_manifest(split, stage, raw_item_map, fcfg, ratios)
+    write_split_manifest(split, args.out_dir, raw_item_map, fcfg, ratios)
     print(format_stats(split_stats(split)), end="")
     print(f"manifest written to {args.out_dir}")
     return 0
@@ -283,7 +258,7 @@ def cmd_train(args) -> int:
     split, _ = read_split_manifest(args.data)
     known = pick_known_users(split, cfg)
 
-    with _staged(args.out_dir) as stage:
+    with staged(args.out_dir) as stage:
         names = (CHECKPOINT_FILE, TRAIN_LOG_FILE, TRAIN_TIMING_FILE)
         result = _fit_into(stage, names, split, cfg, known, echo=True)
         _write(stage, KNOWN_USERS_FILE, {
@@ -331,7 +306,7 @@ def cmd_evaluate(args) -> int:
         },
         **report.as_dict(),
     }
-    with _staged(out_dir) as stage:
+    with staged(out_dir) as stage:
         _write(stage, stem + ".json", payload)
         _write(stage, stem + ".txt", report.as_text())
     print(report.as_text())
@@ -367,7 +342,7 @@ def cmd_ablate(args) -> int:
     # no variant changes the task or the known users
     instances = expand_all(split.test, base.task, set(known))
 
-    with _staged(args.out_dir) as stage:
+    with staged(args.out_dir) as stage:
         rows = []
         for name, cfg in ablation_variants(base).items():
             print(f"[{name}]")

@@ -21,6 +21,10 @@ expand_all) pause the cyclic garbage collector while they run. What they
 build holds only ints, strings, tuples and None and can form no cycle, yet
 every few hundred new tuples would start a collection that walks them all
 again. Each restores the caller's collector state, also when it raises.
+
+staged is the one place the package stages, renames or removes an output
+file. write_split_manifest, save_checkpoint and every command write through
+it, so a failed write leaves the files of an earlier run as they were.
 """
 
 from __future__ import annotations
@@ -32,6 +36,8 @@ import gzip
 import json
 import math
 import os
+import shutil
+import tempfile
 import zlib
 from collections import Counter
 from dataclasses import dataclass
@@ -584,6 +590,28 @@ def _read_sessions(fpath: str, item_count: int) -> tuple[list[Session], int]:
     return parsed
 
 
+@contextlib.contextmanager
+def staged(out_dir: str, last: str | None = None):
+    """A fresh directory inside out_dir to write files into. They are renamed
+    onto their names in out_dir only when the with-block succeeds; when it
+    raises the directory is removed, so an earlier run's files keep their bytes.
+    The file named last, which vouches for the others, is removed from out_dir
+    before the first rename and renamed after all the others, so it never
+    pairs with a half-renamed set."""
+    os.makedirs(out_dir, exist_ok=True)
+    stage = tempfile.mkdtemp(suffix=".tmp", dir=out_dir)
+    try:
+        yield stage
+        names = sorted(os.listdir(stage), key=lambda name: (name == last, name))
+        if last is not None:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(out_dir, last))
+        for name in names:
+            os.replace(os.path.join(stage, name), os.path.join(out_dir, name))
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+
+
 def write_split_manifest(
     split: SessionSplit,
     out_dir: str,
@@ -594,30 +622,16 @@ def write_split_manifest(
     """Persist a split as three session files, the item map, and stats.
 
     Output bytes are a pure function of the split and configuration, so a
-    re-run over identical input produces identical files. An earlier run's
-    manifest is removed first and the new one written last, so no manifest
-    vouches for half-written split files.
+    re-run over identical input produces identical files. The files are
+    written through staged, manifest last, so a failed run leaves an earlier
+    split in out_dir as it was, and no manifest vouches for split files of
+    two runs.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    try:
-        os.remove(os.path.join(out_dir, MANIFEST_FILE))
-    except FileNotFoundError:
-        pass
     parts = {"train": split.train, "valid": split.valid, "test": split.test}
-    for name, sessions in parts.items():
-        with open(os.path.join(out_dir, _SPLIT_FILES[name]), "w", encoding="utf-8") as fh:
-            fh.write(_session_lines(sessions))
-
     id_map = split.id_map or {}
     composed = [(id_map[dense], raw) for raw, dense in raw_item_map.items() if dense in id_map]
     composed.sort(key=itemgetter(0))
-    with open(os.path.join(out_dir, ITEM_MAP_FILE), "w", encoding="utf-8") as fh:
-        fh.write("".join([f"{raw}\t{final}\n" for final, raw in composed]))
-
     stats = split_stats(split)
-    with open(os.path.join(out_dir, STATS_FILE), "w", encoding="utf-8") as fh:
-        fh.write(format_stats(stats))
-
     manifest = {
         "version": 1,
         "item_count": split.item_count,
@@ -627,9 +641,17 @@ def write_split_manifest(
         "filter": dataclasses.asdict(filter_cfg),
         "files": dict(_SPLIT_FILES),
     }
-    with open(os.path.join(out_dir, MANIFEST_FILE), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    with staged(out_dir, last=MANIFEST_FILE) as stage:
+        for name, sessions in parts.items():
+            with open(os.path.join(stage, _SPLIT_FILES[name]), "w", encoding="utf-8") as fh:
+                fh.write(_session_lines(sessions))
+        with open(os.path.join(stage, ITEM_MAP_FILE), "w", encoding="utf-8") as fh:
+            fh.write("".join([f"{raw}\t{final}\n" for final, raw in composed]))
+        with open(os.path.join(stage, STATS_FILE), "w", encoding="utf-8") as fh:
+            fh.write(format_stats(stats))
+        with open(os.path.join(stage, MANIFEST_FILE), "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, sort_keys=True, indent=2)
+            fh.write("\n")
     return manifest
 
 

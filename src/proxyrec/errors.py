@@ -38,7 +38,7 @@ class LengthError(DataError):
 
 
 class ShapeError(ProxyRecError):
-    """Operands with incompatible shapes; the message names both."""
+    """A gather index that is not an integer array (Tensor.gather)."""
 
 
 class GradientError(ProxyRecError):

@@ -232,7 +232,5 @@ def evaluate(
     mode: str = "full",
 ) -> MetricsReport:
     """Recall@k and MRR@k over prediction instances at a fixed temperature."""
-    if not instances:
-        raise MetricError("metrics over zero instances are undefined")
     ranks = compute_ranks(params, instances, task, tau, mode=mode)
     return metrics_from_ranks(ranks, tuple(ks))

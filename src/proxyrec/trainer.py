@@ -30,7 +30,6 @@ system and faulted back in.
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import dataclasses
 import json
@@ -52,6 +51,7 @@ from .data import (
     expand_all,
     flag_known_users,
     sample_negatives,
+    staged,
 )
 from .errors import CheckpointError, ConfigError, DataError, NumericError
 from .encoder import encode_prefixes
@@ -93,8 +93,17 @@ class TrainConfig:
 
     @staticmethod
     def problems(values: dict) -> list[str]:
-        """Every rule the field values in `values` break, one message each."""
-        out = []
+        """Every rule the field values in `values` break, one message each. A
+        value not of its default's type (an int passes for a float; a bool is
+        not an int) gets that message, and the other rules read the default in
+        its place."""
+        out, values = [], dict(values)
+        for field in dataclasses.fields(TrainConfig):
+            value, kind = values[field.name], type(field.default)
+            kinds = (int, float) if kind is float else kind
+            if not isinstance(value, kinds) or isinstance(value, bool):
+                out.append(f"{field.name} must be {kind.__name__}, got {value!r}")
+                values[field.name] = field.default
         if values["mode"] not in SCORING_MODES:
             out.append(f"unknown mode {values['mode']!r}; expected one of {SCORING_MODES}")
         if values["task"] not in TASKS:
@@ -655,9 +664,9 @@ def save_checkpoint(
     Tensor data is raw little-endian float64 in C order; blocks are sorted by
     name, so identical state always produces identical bytes. The meta (its
     length and bytes) and each tensor block (name, shape and data) are
-    followed by their zlib CRC-32. The file is written under a temporary
-    name beside path, synced, and then renamed over path, so a crash
-    mid-write never leaves a partial file under the final name.
+    followed by their zlib CRC-32. The file is written and synced in a
+    staging directory beside path (data.staged), then renamed over path, so
+    a failed write never leaves a partial file under the final name.
     """
     tensors = dict(params.named())
     for name, arr in adam.m.items():
@@ -681,9 +690,8 @@ def save_checkpoint(
             crc = zlib.crc32(part, crc)
         fh.write(struct.pack("<I", crc))
 
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
+    with staged(os.path.dirname(path) or ".") as stage:
+        with open(os.path.join(stage, os.path.basename(path)), "wb") as fh:
             fh.write(CHECKPOINT_MAGIC)
             fh.write(struct.pack("<I", CHECKPOINT_VERSION))
             write_block(fh, struct.pack("<Q", len(meta_bytes)), meta_bytes)
@@ -696,11 +704,6 @@ def save_checkpoint(
                 write_block(fh, head, memoryview(arr))  # the array's own bytes, not a copy
             fh.flush()
             os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
 
 
 def load_checkpoint(path: str) -> tuple[ModelParams, AdamState, dict]:
@@ -757,6 +760,8 @@ def load_checkpoint(path: str) -> tuple[ModelParams, AdamState, dict]:
             count = math.prod(shape)
             data = np.frombuffer(take(fh, count * 8, f"tensor {name}"), dtype="<f8")
             verify(fh, f"tensor {name}")
+            if name in tensors:
+                raise CheckpointError(f"{path}: tensor {name} appears twice")
             tensors[name] = data.reshape(shape).copy()
         if fh.read(1):
             raise CheckpointError(f"{path}: trailing bytes after last tensor")
@@ -767,6 +772,9 @@ def load_checkpoint(path: str) -> tuple[ModelParams, AdamState, dict]:
     missing = set(expected) - set(tensors)
     if missing:
         raise CheckpointError(f"{path}: missing tensors {sorted(missing)}")
+    unknown = set(tensors) - set(expected)
+    if unknown:
+        raise CheckpointError(f"{path}: tensors {sorted(unknown)} are not in the parameter table")
     wrong = sorted(k for k, shape in expected.items() if tensors[k].shape != shape)
     if wrong:
         raise CheckpointError(f"{path}: tensors {wrong} do not match the shapes in the metadata")

@@ -13,6 +13,7 @@ import pytest
 
 from proxyrec import cli as cli_module
 from proxyrec import data as data_module
+from proxyrec import trainer as trainer_module
 from proxyrec.cli import ablation_variants, main, read_config_file, resolve_config
 from proxyrec.data import read_split_manifest
 from proxyrec.errors import ConfigError, NumericError
@@ -898,3 +899,75 @@ def test_ablate_reruns_bit_identical_and_a_failed_rerun_keeps_the_grid(
     assert "loss is nan" in err and "Traceback" not in err
     assert calls == ["full", "proxy_only", "short_only"]
     assert files() == first
+
+
+# -- a failed open anywhere in a command ---------------------------------------
+
+
+def count_opens(monkeypatch, fail_at=0):
+    """Route open in proxyrec.data, .trainer and .cli through one counter and
+    return the list of paths it is called with; its fail_at-th call (counted
+    from 1) raises OSError."""
+    opened = []
+
+    def counted_open(path, *args, **kwargs):
+        opened.append(path)
+        if len(opened) == fail_at:
+            raise OSError(28, "No space left on device", path)
+        return open(path, *args, **kwargs)
+
+    for module in (data_module, trainer_module, cli_module):
+        monkeypatch.setattr(module, "open", counted_open, raising=False)
+    return opened
+
+
+# the desk-scale training config as flags: a --config file would be one more
+# open, and read_config_file reports its failure as a configuration problem
+TINY_FLAGS = ["--set", "embed_dim=8", "--set", "proxy_count=4", "--set", "epochs=2",
+              "--set", "patience=2", "--set", "seed=7"]
+
+
+@pytest.mark.parametrize("command", ["prepare", "train", "evaluate", "ablate"])
+def test_a_failed_open_keeps_the_earlier_runs_files(prepared, capsys, monkeypatch, command):
+    # the earlier run counts the command's opens; a rerun with other inputs
+    # then fails at each of them in turn, reads and writes alike (ablate: at
+    # its first, middle and last)
+    tmp_path, data, _ = prepared
+    if command == "prepare":
+        other = tmp_path / "other.tsv"
+        write_log(other, planted_corpus(
+            n_users=6, n_items=60, sessions_per_user=25, owners_per_item=3, seed=1
+        ))
+        out = data
+        args = ["prepare", "--input", str(tmp_path / "log.tsv"), "--out-dir", str(out),
+                "--min-item-count", "1"]
+        rerun = args[:2] + [str(other)] + args[3:]
+    elif command == "evaluate":
+        trained = tmp_path / "trained"
+        assert main(["train", "--data", str(data), "--out-dir", str(trained)] + TINY_FLAGS) == 0
+        out = tmp_path / "reports"
+        args = ["evaluate", "--checkpoint", str(trained / "model.ckpt"), "--data", str(data),
+                "--out-dir", str(out)]
+        rerun = args + ["--ks", "5,10"]
+    else:
+        out = tmp_path / command
+        args = [command, "--data", str(data), "--out-dir", str(out)] + TINY_FLAGS
+        rerun = args + ["--set", "margin=0.3"]
+
+    def files():
+        return {path.name: path.read_bytes() for path in out.iterdir()}
+
+    opened = count_opens(monkeypatch)
+    assert main(args) == 0
+    total = len(opened)
+    before = files()
+    faults = (1, (total + 1) // 2, total) if command == "ablate" else range(1, total + 1)
+    capsys.readouterr()
+    for n in faults:
+        opened = count_opens(monkeypatch, fail_at=n)
+        assert main(rerun) == 2, n
+        err = capsys.readouterr().err
+        assert "No space left on device" in err and "Traceback" not in err, n
+        assert len(opened) == n  # the n-th open failed, and the command stopped there
+        assert not list(out.glob("*.tmp")), n
+        assert files() == before, n

@@ -584,6 +584,28 @@ class TestManifest:
             b2 = (out2 / fname).read_bytes()
             assert b1 == b2, fname
 
+    def test_failed_rerun_keeps_the_earlier_split(self, tmp_path, monkeypatch):
+        # a second split of fewer sessions into the same directory; its valid
+        # file fails to open after its train file is written
+        out = self.pipeline(tmp_path)
+        before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+        old = read_split_manifest(str(out))
+        split = old[0]
+        smaller = D.SessionSplit(train=split.train[1:], valid=split.valid, test=split.test,
+                                 item_count=split.item_count)
+
+        def failing_open(path, *args, **kwargs):
+            if os.path.basename(path) == "valid.jsonl":
+                raise OSError(28, "No space left on device", path)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(D, "open", failing_open, raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            write_split_manifest(smaller, str(out), {}, FilterConfig(), (8, 1, 1))
+        monkeypatch.undo()
+        assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
+        assert read_split_manifest(str(out)) == old
+
     def test_item_map_covers_final_vocab(self, tmp_path):
         out = self.pipeline(tmp_path)
         lines = (out / "item_map.tsv").read_text().splitlines()

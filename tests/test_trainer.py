@@ -80,6 +80,34 @@ def make_instances(rng, n, n_items, max_parent=5, tags=("u1", "u2"), known=False
     return out
 
 
+class TestConfigTypes:
+    # each would reach range(), init_model or a comparison with the wrong type
+    @pytest.mark.parametrize("field, value, kind", [
+        ("epochs", 2.5, "int"),
+        ("batch_size", 8.0, "int"),
+        ("embed_dim", 32.0, "int"),
+        ("learning_rate", "0.1", "float"),
+        ("seed", True, "int"),
+        ("margin", False, "float"),
+        ("mode", None, "str"),
+    ])
+    def test_a_value_of_another_type_is_refused(self, field, value, kind):
+        with pytest.raises(ConfigError) as err:
+            TrainConfig(**{field: value})
+        assert str(err.value) == f"{field} must be {kind}, got {value!r}"
+
+    def test_a_mistyped_value_skips_its_range_rule(self):
+        # one message per field: no "must be >= 1" after the type message
+        values = dict(dataclasses.asdict(TrainConfig()), epochs=-2.5, anneal_epochs="3")
+        assert TrainConfig.problems(values) == [
+            "epochs must be int, got -2.5", "anneal_epochs must be int, got '3'",
+        ]
+
+    def test_an_int_passes_for_a_float(self):
+        cfg = TrainConfig(learning_rate=1, margin=0, known_user_ratio=1)
+        assert (cfg.learning_rate, cfg.margin, cfg.known_user_ratio) == (1, 0, 1)
+
+
 class TestObjective:
     @pytest.mark.parametrize(
         "mode", ["full", "proxy_only", "short_only", "no_projection", "dot_product"]
@@ -651,6 +679,43 @@ class TestCheckpoint:
             save_checkpoint(str(path), params, adam, 5, 0.1, cfg)
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["model.ckpt"]
+
+    def test_an_unknown_tensor_is_refused(self, tmp_path, capsys):
+        cfg = small_cfg()
+        params = init_model(9, cfg)
+        adam = AdamState.zeros(params.named())
+        adam.m["stray"] = np.zeros(3)
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(path, params, adam, 0, 3.0, cfg)
+        with pytest.raises(CheckpointError, match=r"\['adam.m.stray'\] are not in"):
+            load_checkpoint(path)
+        assert main(["evaluate", "--checkpoint", path, "--data", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "adam.m.stray" in err and "Traceback" not in err
+
+    def test_a_repeated_tensor_is_refused(self, tmp_path, capsys):
+        cfg = small_cfg()
+        params = init_model(9, cfg)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), params, AdamState.zeros(params.named()), 0, 3.0, cfg)
+        raw = path.read_bytes()
+        # magic, version, meta length, meta, its checksum, then the tensor count
+        (meta_len,) = struct.unpack_from("<Q", raw, 8)
+        at = 16 + meta_len + 4
+        (count,) = struct.unpack_from("<Q", raw, at)
+        # the first block: name length, name, ndim, dims, float64 data, checksum
+        (name_len,) = struct.unpack_from("<H", raw, at + 8)
+        name = raw[at + 10:at + 10 + name_len].decode()
+        (ndim,) = struct.unpack_from("<B", raw, at + 10 + name_len)
+        dims = struct.unpack_from(f"<{ndim}Q", raw, at + 11 + name_len)
+        end = at + 11 + name_len + 8 * ndim + 8 * int(np.prod(dims)) + 4
+        block = raw[at + 8:end]
+        path.write_bytes(raw[:at] + struct.pack("<Q", count + 1) + block + raw[at + 8:])
+        with pytest.raises(CheckpointError, match=f"tensor {name} appears twice"):
+            load_checkpoint(str(path))
+        assert main(["evaluate", "--checkpoint", str(path), "--data", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "appears twice" in err and "Traceback" not in err
 
     def test_missing_adam_tensors_detected(self, tmp_path):
         cfg = small_cfg()
